@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -212,7 +213,13 @@ def squeezers_max_deviation(gamma: float, cutoff: int, theta_terms: int) -> floa
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every call.
+
+    Parsing leaves the parser unchanged, so reuse is safe; callers must not
+    add arguments to the returned object.
+    """
     parser = argparse.ArgumentParser(
         prog="fockherald",
         description="Heralded parametric-amplifier circuit simulator",

@@ -3,7 +3,10 @@
 A detection pattern fixes exact photon counts on a subset of modes.
 Projection keeps the matching terms, strips the detected modes from the
 surviving state, and reports the herald probability separately from the
-(normalized) conditional state.
+(normalized) conditional state.  Both projection and the herald
+distribution work on the state's arrays: a boolean row mask selects the
+terms of one pattern, and the distribution sums squared amplitudes by the
+int64 key of the detected counts in a single pass.
 """
 
 from __future__ import annotations
@@ -16,6 +19,11 @@ from .states import (
     ModeLabel,
     ModeMismatchError,
     PureState,
+    _key_strides,
+    _mag2,
+    _merge_by_key,
+    _norm_sq,
+    canonical_modes,
     normalize,
 )
 
@@ -58,27 +66,42 @@ def project(state: PureState, pattern: DetectionPattern) -> HeraldOutcome:
     """Condition on the pattern; zero-probability heralds are a value."""
     items = pattern.sorted_items()
     idx = _detected_indices(state, [m for m, _ in items])
-    wanted = {i: c for i, (_, c) in zip(idx, items)}
     for (mode, count) in items:
         if count > state.cutoff:
             raise FockError(f"pattern count {count} on {mode} exceeds cutoff")
-    keep_idx = [i for i in range(len(state.modes)) if i not in wanted]
+    keep_idx = [i for i in range(len(state.modes)) if i not in idx]
     kept_modes = [state.modes[i] for i in keep_idx]
 
-    terms: dict[tuple[int, ...], complex] = {}
-    prob = 0.0
-    for occ, amp in state.sorted_terms():
-        if any(occ[i] != c for i, c in wanted.items()):
-            continue
-        prob += amp.real * amp.real + amp.imag * amp.imag
-        terms[tuple(occ[i] for i in keep_idx)] = amp
-
+    occ = state.occupations
+    match = (occ[:, idx] == [c for _, c in items]).all(axis=1)
+    amp = state.amplitudes[match]
+    prob = _norm_sq(amp)
     if prob <= EPS_ZERO:
-        empty = PureState(kept_modes, {}, state.cutoff, state.leaked_norm)
+        empty = PureState._from_arrays(
+            kept_modes, occ[:0, keep_idx], amp[:0], state.cutoff, state.leaked_norm
+        )
         return HeraldOutcome(empty, prob)
-    unnorm = PureState(kept_modes, terms, state.cutoff, state.leaked_norm)
+    unnorm = PureState._from_arrays(
+        kept_modes, occ[match][:, keep_idx], amp, state.cutoff, state.leaked_norm
+    )
     conditional, _ = normalize(unnorm)
     return HeraldOutcome(conditional, prob)
+
+
+def herald_weights(
+    state: PureState, detected: list[ModeLabel]
+) -> list[tuple[tuple[int, ...], float]]:
+    """Weight of every herald pattern on ``detected`` with nonzero weight.
+
+    Each pattern is a tuple of counts in canonical mode order, whatever the
+    order of ``detected``, and patterns come in lexicographic order of those
+    tuples.  Weights sum to the state's squared norm (up to the leaked tail).
+    """
+    idx = sorted(_detected_indices(state, detected))
+    counts = state.occupations[:, idx]
+    keys = counts @ _key_strides(len(idx), state.cutoff)
+    first, weights = _merge_by_key(keys, _mag2(state.amplitudes))
+    return list(zip(map(tuple, counts[first].tolist()), weights.tolist()))
 
 
 def outcome_distribution(
@@ -86,16 +109,12 @@ def outcome_distribution(
 ) -> list[tuple[DetectionPattern, float]]:
     """All herald patterns with nonzero weight, in lexicographic order.
 
-    Probabilities sum to the state's squared norm (up to the leaked tail).
+    The order is that of ``herald_weights``: lexicographic in the counts
+    taken in canonical mode order.  Probabilities sum to the state's squared
+    norm (up to the leaked tail).
     """
-    idx = _detected_indices(state, detected)
-    weights: dict[tuple[int, ...], float] = {}
-    for occ, amp in state.sorted_terms():
-        key = tuple(occ[i] for i in idx)
-        weights[key] = weights.get(key, 0.0) + (
-            amp.real * amp.real + amp.imag * amp.imag
-        )
+    modes = canonical_modes(detected)
     return [
-        (DetectionPattern(dict(zip(detected, counts))), weights[counts])
-        for counts in sorted(weights)
+        (DetectionPattern(dict(zip(modes, counts))), weight)
+        for counts, weight in herald_weights(state, detected)
     ]

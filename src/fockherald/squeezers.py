@@ -4,8 +4,15 @@ The production path applies the squeezer in its exact disentangled form
 (raising exponential x diagonal factor x lowering exponential), which is
 triangular on the truncated space: every output amplitude below the cutoff
 is exact, and the weight pushed past the cutoff is charged to the state's
-leaked-norm ledger.  A slow series-exponential oracle is provided for
-cross-validation.
+leaked-norm ledger.
+
+The kernel works on the state's arrays (see ``states``): the lowering and
+raising series coefficients of all terms are running products
+(``np.cumprod``) over per-step factor matrices, one row per input term or
+per (term, lowering order), and the outputs that land on the same
+occupation are merged by their int64 term key.  No per-term Python loop
+runs and no dict is built.  A slow series-exponential oracle is provided
+for cross-validation.
 """
 
 from __future__ import annotations
@@ -16,16 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import FockError, ModeLabel, ModeMismatchError, PureState
-
-_SQRT: list[float] = [0.0]
-
-
-def _sqrt(n: int) -> float:
-    # memoized integer square roots; grows on demand
-    while len(_SQRT) <= n:
-        _SQRT.append(math.sqrt(len(_SQRT)))
-    return _SQRT[n]
+from .states import (
+    FockError,
+    ModeLabel,
+    ModeMismatchError,
+    PureState,
+    _key_strides,
+    _merge_by_key,
+    _norm_sq,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +68,23 @@ class PdcSpec:
             raise FockError(f"gamma must lie in [0, 1), got {self.gamma}")
 
 
+def _series(scale: float, a: np.ndarray, b: np.ndarray, sign: int, length: int) -> np.ndarray:
+    """Running products of scale/t * sqrt(a + sign*t) * sqrt(b + sign*t).
+
+    Row i, column t holds the product over steps 1..t for a[i], b[i]
+    (column 0 is 1), computed as ``np.cumprod`` over the step factors in the
+    order the term-by-term loop multiplies them.
+    """
+    t = np.arange(1, length)
+    out = np.ones((len(a), length))
+    steps = sign * t
+    with np.errstate(invalid="ignore"):  # negative roots only past a row's last step
+        np.sqrt(a[:, None] + steps, out=out[:, 1:])
+        out[:, 1:] *= np.sqrt(b[:, None] + steps)
+    out[:, 1:] *= scale / t
+    return np.cumprod(out, axis=1, out=out)
+
+
 def apply_two_mode_squeezer(state: PureState, spec: SqueezerSpec) -> PureState:
     """Apply exp(s a†b†) (1-g)^((n_a+n_b+1)/2) exp(-s ab), s = sqrt(g).
 
@@ -75,33 +98,41 @@ def apply_two_mode_squeezer(state: PureState, spec: SqueezerSpec) -> PureState:
     s = math.sqrt(g)
     cutoff = state.cutoff
     log1mg = math.log1p(-g) if g > 0.0 else 0.0
+    occ, amp = state.occupations, state.amplitudes
+    m, n = occ[:, ia], occ[:, ib]
 
-    out: dict[tuple[int, ...], complex] = {}
-    in_norm_sq = 0.0
-    for occ, amp in state.sorted_terms():
-        in_norm_sq += amp.real * amp.real + amp.imag * amp.imag
-        m, n = occ[ia], occ[ib]
-        occ_list = list(occ)
-        low = 1.0  # lowering-series coefficient, k = 0
-        for k in range(min(m, n) + 1):
-            if k > 0:
-                low *= -s / k * (_sqrt(m - k + 1) * _sqrt(n - k + 1))
-            mp, np_ = m - k, n - k
-            base = amp * low * math.exp(0.5 * (mp + np_ + 1) * log1mg)
-            raise_cap = cutoff - max(mp, np_)
-            r = 1.0  # raising-series coefficient, j = 0
-            for j in range(raise_cap + 1):
-                if j > 0:
-                    r *= s / j * (_sqrt(mp + j) * _sqrt(np_ + j))
-                occ_list[ia] = mp + j
-                occ_list[ib] = np_ + j
-                key = tuple(occ_list)
-                out[key] = out.get(key, 0j) + base * r
-        occ_list[ia], occ_list[ib] = m, n
+    # lowering exp(-s ab): term i at order k = 0..min(m, n), one row per term
+    min_mn = np.minimum(m, n)
+    lowered = np.arange(min_mn.max(initial=0) + 1) <= min_mn[:, None]
+    low = _series(-s, m + 1, n + 1, -1, lowered.shape[1])[lowered]
+    term, k = np.nonzero(lowered)
+    mp, np_ = m[term] - k, n[term] - k
+    # diagonal factor (1-g)^((mp+np_+1)/2), tabulated with the same math.exp
+    # the term-by-term reference loop calls
+    decay = np.array([math.exp(0.5 * t * log1mg) for t in range(2 * cutoff + 2)])
+    base = amp[term] * low * decay[mp + np_ + 1]
 
-    out_norm_sq = sum(a.real * a.real + a.imag * a.imag for a in out.values())
-    leaked = state.leaked_norm + max(0.0, in_norm_sq - out_norm_sq)
-    return PureState(state.modes, out, cutoff, leaked)
+    # raising exp(s a†b†): row r = (term, k) feeds j = 0..cutoff - max(mp, np_)
+    cap = cutoff - np.maximum(mp, np_)
+    raised = np.arange(cap.max(initial=0) + 1) <= cap[:, None]
+    row, j = np.nonzero(raised)
+    values = base[row]
+    values *= _series(s, mp, np_, 1, raised.shape[1])[raised]
+
+    # output (mp + j, np_ + j) sits j - k above the input term on both modes
+    # of the pair, so its key is an offset of the input key
+    strides = _key_strides(len(state.modes), cutoff)
+    pair = strides[ia] + strides[ib]
+    keys = j * pair
+    keys += ((occ @ strides)[term] - k * pair)[row]
+    first, out_amp = _merge_by_key(keys, values)
+    src = row[first]
+    out_occ = occ[term[src]]
+    out_occ[:, ia] = mp[src] + j[first]
+    out_occ[:, ib] = np_[src] + j[first]
+
+    leaked = state.leaked_norm + max(0.0, _norm_sq(amp) - _norm_sq(out_amp))
+    return PureState._from_arrays(state.modes, out_occ, out_amp, cutoff, leaked)
 
 
 def squeezer_matrix_element(m: int, n: int, mp: int, np_: int, gamma: float) -> complex:
@@ -120,7 +151,7 @@ def squeezer_matrix_element(m: int, n: int, mp: int, np_: int, gamma: float) -> 
     low = 1.0
     for k in range(min(m, n) + 1):
         if k > 0:
-            low *= -s / k * (_sqrt(m - k + 1) * _sqrt(n - k + 1))
+            low *= -s / k * (math.sqrt(m - k + 1) * math.sqrt(n - k + 1))
         j = mp - (m - k)
         if j < 0:
             continue
@@ -128,7 +159,7 @@ def squeezer_matrix_element(m: int, n: int, mp: int, np_: int, gamma: float) -> 
             continue
         r = 1.0
         for i in range(1, j + 1):
-            r *= s / i * (_sqrt(m - k + i) * _sqrt(n - k + i))
+            r *= s / i * (math.sqrt(m - k + i) * math.sqrt(n - k + i))
         total += low * r * math.exp(0.5 * (m - k + n - k + 1) * log1mg)
     return complex(total)
 

@@ -1,22 +1,40 @@
 """Sparse pure-state algebra over labeled bosonic modes with a hard cutoff.
 
-States are stored as a sparse map from occupation vectors to complex
-amplitudes.  Every mode carries the same per-mode photon-number cutoff;
-amplitude that any operation pushes past the cutoff (or that pruning
-discards) is accumulated in ``leaked_norm`` so the truncation error stays
-auditable end to end.
+A state stores its nonzero terms as two arrays: ``occupations``, an int64
+matrix with one row per term and one column per mode (canonical mode
+order), and ``amplitudes``, the matching complex128 vector.  Rows are
+unique and kept in lexicographic order, so the kernels in ``squeezers``
+and ``heralding`` work on whole arrays and never visit terms one by one.
+``terms`` is a dict view {occupation tuple: complex amplitude}, built on
+first access and cached; states produced inside a circuit never build it
+unless asked.
+
+Kernels merge duplicate rows by a mixed-radix int64 key,
+``sum(occ[i] * (cutoff + 1) ** (n_modes - 1 - i))``, whose order is the
+lexicographic order of the rows.  A fixed-width key would wrap and silently
+merge distinct terms, so a state refuses (``FockError``) any mode count and
+cutoff with ``(cutoff + 1) ** n_modes > 2**63 - 1``.
+
+Every mode carries the same per-mode photon-number cutoff; amplitude that
+any operation pushes past the cutoff (or that pruning discards) is
+accumulated in ``leaked_norm`` so the truncation error stays auditable end
+to end.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 EPS_DROP = 1e-16   # squared-amplitude pruning threshold
 EPS_ZERO = 1e-12   # below this a norm counts as zero
 EPS_NUM = 1e-10    # accumulated floating tolerance per protocol run
+KEY_MAX = 2**63 - 1  # largest int64 term key
 
 _POL_ORDER = {None: "", "H": "H", "V": "V"}
 
@@ -75,15 +93,70 @@ def _validate_modes(modes: Sequence[ModeLabel]) -> None:
             )
 
 
+def _check_key_space(n_modes: int, cutoff: int) -> None:
+    if (cutoff + 1) ** n_modes > KEY_MAX:
+        raise FockError(
+            f"{n_modes} modes at cutoff {cutoff} exceed the int64 term-key space:"
+            f" (cutoff + 1) ** n_modes must not exceed 2**63 - 1"
+        )
+
+
+def _mag2(amp: np.ndarray) -> np.ndarray:
+    return amp.real * amp.real + amp.imag * amp.imag
+
+
+def _norm_sq(amp: np.ndarray) -> float:
+    return float(_mag2(amp).sum())
+
+
+def _key_strides(n_modes: int, cutoff: int) -> np.ndarray:
+    """Mixed-radix weights: ``occupations @ strides`` gives each row's int64 key.
+
+    The first column is the most significant digit, so ascending keys are
+    lexicographically ascending rows.  Callers stay inside the key space
+    that ``PureState`` enforces for ``cutoff``.
+    """
+    return np.array([(cutoff + 1) ** e for e in range(n_modes - 1, -1, -1)], dtype=np.int64)
+
+
+def _merge_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``values`` that share a key, in ascending key order.
+
+    Returns the index of the first input row of each distinct key and the
+    sums.  Each sum adds its values one by one in input order (``bincount``
+    does; ``add.reduceat`` sums long runs pairwise), so a kernel that lists
+    its contributions in the order of a term-by-term loop reproduces that
+    loop's rounding even where the contributions cancel.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    group = np.searchsorted(sorted_keys[starts], keys)
+    if values.dtype.kind != "c":
+        return order[starts], np.bincount(group, values, len(starts))
+    sums = np.empty(len(starts), dtype=values.dtype)
+    sums.real = np.bincount(group, values.real, len(starts))
+    sums.imag = np.bincount(group, values.imag, len(starts))
+    return order[starts], sums
+
+
 class PureState:
     """Sparse superposition of occupation-number basis states.
+
+    ``occupations`` (int64, one row per term) and ``amplitudes``
+    (complex128) hold the terms, rows unique and in lexicographic order;
+    both arrays are read-only.  ``terms`` is the equivalent dict, built on
+    first access.
 
     Instances are immutable by convention: no method mutates ``self`` and
     all operations return fresh states, so values can be shared freely
     between threads.
     """
 
-    __slots__ = ("modes", "terms", "cutoff", "leaked_norm")
+    __slots__ = ("modes", "occupations", "amplitudes", "cutoff", "leaked_norm", "_terms")
 
     def __init__(
         self,
@@ -102,10 +175,14 @@ class PureState:
             modes = order
         if cutoff < 0:
             raise FockError(f"cutoff must be nonnegative, got {cutoff}")
+        _check_key_space(len(modes), cutoff)
         kept: dict[tuple[int, ...], complex] = {}
         leaked = float(leaked_norm)
         for occ, amp in terms.items():
-            occ = tuple(occ)
+            try:
+                occ = tuple(map(operator.index, occ))
+            except TypeError:
+                raise FockError(f"occupation {occ} is not a tuple of integers") from None
             if len(occ) != len(modes):
                 raise ModeMismatchError(
                     f"occupation {occ} has length {len(occ)}, expected {len(modes)}"
@@ -123,10 +200,65 @@ class PureState:
                 leaked += mag2
             else:
                 kept[occ] = amp
+        items = sorted(kept.items())
+        occupations = np.array([occ for occ, _ in items], dtype=np.int64)
+        amplitudes = np.array([amp for _, amp in items], dtype=np.complex128)
+        self._set(modes, occupations.reshape(len(items), len(modes)), amplitudes,
+                  cutoff, leaked)
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        modes: Sequence[ModeLabel],
+        occupations: np.ndarray,
+        amplitudes: np.ndarray,
+        cutoff: int,
+        leaked_norm: float,
+    ) -> "PureState":
+        """Kernel-side constructor: the mapping constructor's checks, vectorised.
+
+        ``modes`` must be canonical and valid, and the rows of
+        ``occupations`` unique and in lexicographic order; the kernels
+        guarantee both.  Occupations are checked against 0 and the cutoff,
+        and terms with ``|amp|**2 < EPS_DROP`` move to ``leaked_norm``.
+        """
+        modes = tuple(modes)
+        _check_key_space(len(modes), cutoff)
+        if occupations.shape != (len(amplitudes), len(modes)):
+            raise ModeMismatchError(
+                f"occupation matrix of shape {occupations.shape} does not match"
+                f" {len(amplitudes)} amplitudes on {len(modes)} modes"
+            )
+        if occupations.min(initial=0) < 0:
+            raise FockError("negative occupation")
+        if occupations.max(initial=0) > cutoff:
+            raise CutoffExceededError(f"occupation exceeds cutoff {cutoff}")
+        mag2 = _mag2(amplitudes)
+        keep = mag2 >= EPS_DROP
+        leaked = float(leaked_norm)
+        if not keep.all():
+            leaked += float(mag2[~keep].sum())
+            occupations, amplitudes = occupations[keep], amplitudes[keep]
+        state = cls.__new__(cls)
+        state._set(modes, occupations, amplitudes, cutoff, leaked)
+        return state
+
+    def _set(self, modes, occupations, amplitudes, cutoff, leaked) -> None:
+        occupations.flags.writeable = False
+        amplitudes.flags.writeable = False
         self.modes = modes
-        self.terms = kept
+        self.occupations = occupations
+        self.amplitudes = amplitudes
         self.cutoff = int(cutoff)
         self.leaked_norm = leaked
+        self._terms = None
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], complex]:
+        """{occupation tuple: amplitude} in lexicographic order; do not mutate."""
+        if self._terms is None:
+            self._terms = dict(self.sorted_terms())
+        return self._terms
 
     # -- queries ---------------------------------------------------------
 
@@ -140,21 +272,21 @@ class PureState:
         return self.terms.get(tuple(occ), 0j)
 
     def norm_sq(self) -> float:
-        return sum(a.real * a.real + a.imag * a.imag for a in self.terms.values())
+        return _norm_sq(self.amplitudes)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], complex]]:
         """Terms in lexicographic occupation order (deterministic)."""
-        return sorted(self.terms.items())
+        return list(zip(map(tuple, self.occupations.tolist()), self.amplitudes.tolist()))
 
     def __repr__(self):
         parts = [
             f"({a:.4g})|{','.join(map(str, occ))}>"
             for occ, a in self.sorted_terms()[:4]
         ]
-        more = "..." if len(self.terms) > 4 else ""
+        more = "..." if len(self.amplitudes) > 4 else ""
         return (
             f"PureState[{'+'.join(str(m) for m in self.modes)}; cutoff={self.cutoff}; "
             f"{' + '.join(parts)}{more}]"
@@ -218,15 +350,14 @@ def superpose(terms: Sequence[tuple[complex, PureState]]) -> PureState:
             raise ModeMismatchError("superpose operands have different mode sets")
         if st.cutoff != first.cutoff:
             raise FockError("superpose operands have different cutoffs")
-    acc: dict[tuple[int, ...], complex] = {}
+    coeffs = [complex(c) for c, _ in terms]
     leaked = 0.0
-    for coeff, st in terms:
-        coeff = complex(coeff)
-        mag2 = coeff.real * coeff.real + coeff.imag * coeff.imag
-        leaked += mag2 * st.leaked_norm
-        for occ, amp in st.sorted_terms():
-            acc[occ] = acc.get(occ, 0j) + coeff * amp
-    return PureState(first.modes, acc, first.cutoff, leaked)
+    for coeff, (_, st) in zip(coeffs, terms):
+        leaked += (coeff.real * coeff.real + coeff.imag * coeff.imag) * st.leaked_norm
+    occ = np.concatenate([st.occupations for _, st in terms])
+    amp = np.concatenate([c * st.amplitudes for c, (_, st) in zip(coeffs, terms)])
+    rows, summed = _merge_by_key(occ @ _key_strides(len(first.modes), first.cutoff), amp)
+    return PureState._from_arrays(first.modes, occ[rows], summed, first.cutoff, leaked)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -249,12 +380,16 @@ def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.modes != b.modes:
         raise ModeMismatchError("inner_product requires identical mode sets")
-    small, large = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    total = 0j
-    for occ, _ in small.sorted_terms():
-        if occ in large.terms:
-            total += a.terms[occ].conjugate() * b.terms[occ]
-    return total
+    # rows are unique within each state, so a key shared by both appears
+    # exactly twice after a stable sort: a's row first, then b's
+    strides = _key_strides(len(a.modes), max(a.cutoff, b.cutoff))
+    keys = np.concatenate((a.occupations @ strides, b.occupations @ strides))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    shared = sorted_keys[1:] == sorted_keys[:-1]
+    rows_a = order[:-1][shared]
+    rows_b = order[1:][shared] - len(a.amplitudes)
+    return complex((a.amplitudes[rows_a].conj() * b.amplitudes[rows_b]).sum())
 
 
 def normalize(a: PureState, eps_zero: float = EPS_ZERO) -> tuple[PureState, float]:
@@ -265,6 +400,7 @@ def normalize(a: PureState, eps_zero: float = EPS_ZERO) -> tuple[PureState, floa
     if abs(n - 1.0) < 1e-15:
         return a, n
     inv = 1.0 / n
-    terms = {occ: amp * inv for occ, amp in a.terms.items()}
     leaked = min(1.0, a.leaked_norm * inv * inv)
-    return PureState(a.modes, terms, a.cutoff, leaked), n
+    return PureState._from_arrays(
+        a.modes, a.occupations, a.amplitudes * inv, a.cutoff, leaked
+    ), n

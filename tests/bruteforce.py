@@ -4,6 +4,10 @@ The qutrit-herald oracle builds the two down-conversion generators as
 sparse matrices on a total-photon-capped six-mode basis and applies true
 matrix exponentials (scipy expm_multiply), sharing no code with the
 factored production path.
+
+``apply_two_mode_squeezer_scalar`` is the squeezer as a term-by-term dict
+loop; it multiplies the same per-step factors and adds the contributions in
+the same order as the vectorised kernel, and serves as its reference.
 """
 
 import itertools
@@ -12,6 +16,54 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
+
+from fockherald import PureState
+
+
+def apply_two_mode_squeezer_scalar(state, spec):
+    """Disentangled squeezer, one input term and one series step at a time."""
+    ia = state.index_of(spec.mode_a)
+    ib = state.index_of(spec.mode_b)
+    g = spec.gamma
+    s = math.sqrt(g)
+    cutoff = state.cutoff
+    log1mg = math.log1p(-g) if g > 0.0 else 0.0
+
+    out = {}
+    in_norm_sq = 0.0
+    for occ, amp in state.sorted_terms():
+        in_norm_sq += amp.real * amp.real + amp.imag * amp.imag
+        m, n = occ[ia], occ[ib]
+        occ_list = list(occ)
+        low = 1.0  # lowering-series coefficient, k = 0
+        for k in range(min(m, n) + 1):
+            if k > 0:
+                low *= -s / k * (math.sqrt(m - k + 1) * math.sqrt(n - k + 1))
+            mp, np_ = m - k, n - k
+            base = amp * low * math.exp(0.5 * (mp + np_ + 1) * log1mg)
+            raise_cap = cutoff - max(mp, np_)
+            r = 1.0  # raising-series coefficient, j = 0
+            for j in range(raise_cap + 1):
+                if j > 0:
+                    r *= s / j * (math.sqrt(mp + j) * math.sqrt(np_ + j))
+                occ_list[ia] = mp + j
+                occ_list[ib] = np_ + j
+                key = tuple(occ_list)
+                out[key] = out.get(key, 0j) + base * r
+
+    out_norm_sq = sum(a.real * a.real + a.imag * a.imag for a in out.values())
+    leaked = state.leaked_norm + max(0.0, in_norm_sq - out_norm_sq)
+    return PureState(state.modes, out, cutoff, leaked)
+
+
+def herald_weights_scalar(state, detected):
+    """{counts in canonical mode order: summed squared amplitude}, term by term."""
+    idx = sorted(state.index_of(m) for m in detected)
+    weights = {}
+    for occ, amp in state.sorted_terms():
+        key = tuple(occ[i] for i in idx)
+        weights[key] = weights.get(key, 0.0) + abs(amp) ** 2
+    return weights
 
 # mode order: H1, V1, H2, V2, H3, V3
 _PDC1_PAIRS = ((2, 5), (3, 4))  # (H2,V3), (V2,H3)

@@ -139,6 +139,16 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_valid_call_after_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "teleport-qubit", "--points", "3"])  # --start missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "params", "teleport", "--gamma2", "0.1")
+    assert code == 0
+    assert json.loads(out)["gamma1"] == pytest.approx(0.15625)
+
+
 def test_sweep_csv_schema(capsys):
     code, out, _ = run_cli(
         capsys,

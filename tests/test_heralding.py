@@ -1,19 +1,25 @@
 import math
 
 import pytest
+from bruteforce import herald_weights_scalar
 
 from fockherald import (
     DetectionPattern,
+    GateParams,
+    InputCoefficients,
     ModeLabel,
     ModeMismatchError,
     SqueezerSpec,
     apply_two_mode_squeezer,
+    herald_weights,
     make_basis_state,
     outcome_distribution,
     project,
+    run_nls,
     superpose,
     vacuum_state,
 )
+from fockherald.protocols import _finish, _single_rail_circuit
 
 M1, M2, M3 = ModeLabel(1), ModeLabel(2), ModeLabel(3)
 
@@ -158,3 +164,37 @@ def test_distribution_order_is_lexicographic():
 def test_pattern_negative_count_rejected():
     with pytest.raises(ValueError):
         DetectionPattern({M1: -1})
+
+
+def _as_count_tuples(dist):
+    return [(tuple(c for _, c in p.sorted_items()), w) for p, w in dist]
+
+
+def test_herald_distribution_convention():
+    coeffs = InputCoefficients(0.6, 0.48, 0.64)
+    params, cutoff = GateParams(0.4, 0.2), 16
+    res = run_nls(coeffs, params, cutoff)
+    psi, pattern, detected = _single_rail_circuit(coeffs, params, cutoff)
+    assert detected == [M1, M2]
+    expected = _as_count_tuples(outcome_distribution(psi, detected))
+    assert res.herald_distribution == expected
+    # counts stay in canonical mode order when detected modes are given
+    # out of order, and the order of the patterns does not change
+    reordered = _finish("nls", psi, pattern, [M2, M1], res.target_state,
+                        params, None, None)
+    assert reordered.herald_distribution == expected
+    assert _as_count_tuples(outcome_distribution(psi, [M2, M1])) == expected
+
+
+def test_herald_weights_match_distribution_and_reference():
+    psi = nls_circuit(0.6, 0.0, 0.8, 0.3, 0.25)
+    for detected in ([M1, M2], [M2, M1], [M3], [M3, M1]):
+        weights = herald_weights(psi, detected)
+        dist = _as_count_tuples(outcome_distribution(psi, detected))
+        assert [c for c, _ in weights] == [c for c, _ in dist]
+        for (_, w), (_, w_dist) in zip(weights, dist):
+            assert abs(w - w_dist) <= 1e-15
+        ref = herald_weights_scalar(psi, detected)
+        assert [c for c, _ in weights] == sorted(ref)
+        for counts, w in weights:
+            assert abs(w - ref[counts]) <= 1e-14

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from bruteforce import apply_two_mode_squeezer_scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +121,41 @@ def test_number_difference_conserved(m, n, gamma):
     st_ = make_basis_state((MA, MB), (m, n), 10)
     out = apply_two_mode_squeezer(st_, SqueezerSpec(MA, MB, gamma))
     assert all(mp - np_ == m - n for mp, np_ in out.terms)
+
+
+@st.composite
+def squeezer_cases(draw):
+    n_modes = draw(st.integers(min_value=2, max_value=6))
+    cutoff = draw(st.integers(min_value=4, max_value=64))
+    modes = tuple(ModeLabel(p) for p in range(n_modes))
+    occs = draw(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=cutoff)] * n_modes),
+            min_size=1, max_size=6, unique=True,
+        )
+    )
+    amps = [
+        draw(st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0))
+        for _ in occs
+    ]
+    ia, ib = draw(st.permutations(range(n_modes)))[:2]
+    gamma = draw(st.sampled_from([0.0, 0.05, 0.757, 0.95]))
+    state = PureState(modes, dict(zip(occs, amps)), cutoff)
+    return state, SqueezerSpec(modes[ia], modes[ib], gamma)
+
+
+@given(squeezer_cases())
+@settings(max_examples=100, deadline=None)
+def test_vectorised_kernel_matches_scalar_reference(case):
+    # tolerances fixed from float64 rounding; the kernel multiplies and adds
+    # in the loop's order, so only the norm sums behind leaked_norm differ
+    state, spec = case
+    norm = state.norm()
+    fast = apply_two_mode_squeezer(state, spec)
+    ref = apply_two_mode_squeezer_scalar(state, spec)
+    for occ in set(fast.terms) | set(ref.terms):
+        assert abs(fast.amplitude(occ) - ref.amplitude(occ)) <= 1e-14 * norm
+    assert abs(fast.leaked_norm - ref.leaked_norm) <= 1e-13 * norm**2
 
 
 # -- type-II PDC -------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fockherald import (
     CutoffExceededError,
+    FockError,
     ModeLabel,
     ModeMismatchError,
     PureState,
@@ -168,6 +169,40 @@ def test_pruning_feeds_leaked_norm():
     st_ = PureState((M1,), {(0,): 1.0, (1,): 1e-9}, 8)
     assert (1,) not in st_.terms
     assert st_.leaked_norm == pytest.approx(1e-18)
+
+
+# (cutoff + 1) ** n_modes must fit an int64 term key, 2**63 - 1
+TWO_MODE_MAX_CUTOFF = 3037000498  # 3037000499**2 < 2**63 - 1 < 3037000500**2
+
+
+def test_key_space_limit_on_cutoff():
+    top = TWO_MODE_MAX_CUTOFF
+    PureState((M1, M2), {(0, 0): 1.0}, top)
+    with pytest.raises(FockError, match="term-key space"):
+        PureState((M1, M2), {(0, 0): 1.0}, top + 1)
+
+
+def test_key_space_limit_on_mode_count():
+    modes = tuple(ModeLabel(p) for p in range(63))
+    assert vacuum_state(modes[:62], 1).norm() == 1.0  # 2**62 keys
+    with pytest.raises(FockError, match="term-key space"):
+        vacuum_state(modes, 1)  # 2**63 keys
+
+
+def test_distinct_terms_at_key_space_edge_stay_distinct():
+    top = TWO_MODE_MAX_CUTOFF
+    a = PureState((M1, M2), {(top, top): 0.6, (top, 0): 0.8}, top)
+    b = PureState((M1, M2), {(top, top - 1): 1.0, (0, top): 1.0}, top)
+    out = superpose([(1.0, a), (1.0, b)])
+    assert out.terms == {
+        (0, top): 1.0, (top, 0): 0.8, (top, top - 1): 1.0, (top, top): 0.6
+    }
+    assert inner_product(a, out) == pytest.approx(1.0)
+
+
+def test_non_integer_occupation_rejected():
+    with pytest.raises(FockError):
+        PureState((M1,), {(1.5,): 1.0}, 8)
 
 
 def test_serialization_roundtrip():
