@@ -14,8 +14,8 @@ import math
 import os
 import sys
 
-from . import protocols, squeezers, states
-from .states import FockError, ModeLabel
+from . import protocols, squeezers
+from .states import FockError
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -26,16 +26,20 @@ def _fail(message: str, code: int = USAGE_ERROR) -> int:
     return code
 
 
-def _env_cutoff(default: int) -> int:
-    raw = os.environ.get("FOCKHERALD_CUTOFF")
-    if raw is None:
-        return default
+def _cutoff(args, default: int) -> int:
+    """``--cutoff``, else ``FOCKHERALD_CUTOFF``, else ``default``; must be >= 1."""
+    if args.cutoff is not None:
+        name, raw = "--cutoff", args.cutoff
+    else:
+        name, raw = "FOCKHERALD_CUTOFF", os.environ.get("FOCKHERALD_CUTOFF")
+        if raw is None:
+            return default
     try:
         value = int(raw)
     except ValueError:
-        raise FockError(f"FOCKHERALD_CUTOFF must be an integer, got {raw!r}")
+        raise FockError(f"{name} must be an integer, got {raw!r}")
     if value < 1:
-        raise FockError(f"FOCKHERALD_CUTOFF must be positive, got {value}")
+        raise FockError(f"{name} must be positive, got {value}")
     return value
 
 
@@ -59,9 +63,7 @@ def cmd_params(args) -> int:
     if args.protocol == "nls":
         gp = protocols.solve_nls_params()
         g1, g2 = gp.gamma1, gp.gamma2
-        r1 = math.sqrt(g2) - math.sqrt(g1) * (1 - 2 * g2)
-        r2 = math.sqrt(g2) + g1 * math.sqrt(g2) * (3 * g2 - 2)
-        residual = max(abs(r1), abs(r2))
+        residual = max(map(abs, protocols.coupling_residuals(g1, g2)))
     else:
         if args.gamma2 is None:
             raise FockError("params teleport requires --gamma2")
@@ -69,7 +71,7 @@ def cmd_params(args) -> int:
             raise FockError("gamma2 must lie in (0,0.5)")
         g2 = args.gamma2
         g1 = protocols.solve_teleport_constraint(g2)
-        residual = abs(math.sqrt(g2) - math.sqrt(g1) * (1 - 2 * g2))
+        residual = abs(protocols.coupling_residuals(g1, g2)[0])
     print(json.dumps({"gamma1": g1, "gamma2": g2, "residual": residual}))
     return 0 if residual < 1e-12 else NUMERIC_ERROR
 
@@ -78,7 +80,7 @@ def cmd_run(args) -> int:
     coeffs = _coefficients(args)
     constrained = True
     if args.protocol == "nls":
-        cutoff = args.cutoff or _env_cutoff(protocols.DEFAULT_NLS_CUTOFF)
+        cutoff = _cutoff(args, protocols.DEFAULT_NLS_CUTOFF)
         if args.gamma1 is not None or args.gamma2 is not None:
             if args.auto_params:
                 raise FockError("--auto-params conflicts with explicit gammas")
@@ -94,12 +96,8 @@ def cmd_run(args) -> int:
             raise FockError(f"{args.protocol} requires --gamma2")
         if args.gamma1 is not None:
             raise FockError(f"{args.protocol} derives gamma1 from the constraint")
-        if args.protocol == "teleport-qubit":
-            cutoff = args.cutoff or _env_cutoff(protocols.DEFAULT_QUBIT_CUTOFF)
-            result = protocols.run_qubit_teleport(coeffs, args.gamma2, cutoff)
-        else:
-            cutoff = args.cutoff or _env_cutoff(protocols.DEFAULT_QUTRIT_CUTOFF)
-            result = protocols.run_qutrit_teleport(coeffs, args.gamma2, cutoff)
+        runner, _, default_cutoff = protocols._RUNNERS[args.protocol]
+        result = runner(coeffs, args.gamma2, _cutoff(args, default_cutoff))
 
     if args.format == "json":
         print(result.to_json())
@@ -157,11 +155,7 @@ def cmd_sweep(args) -> int:
     else:
         step = (args.stop - args.start) / (args.points - 1)
         grid = [args.start + i * step for i in range(args.points)]
-    cutoff = args.cutoff or _env_cutoff(
-        protocols.DEFAULT_QUBIT_CUTOFF
-        if args.protocol == "teleport-qubit"
-        else protocols.DEFAULT_QUTRIT_CUTOFF
-    )
+    cutoff = _cutoff(args, protocols._RUNNERS[args.protocol][2])
     rows = protocols.sweep(args.protocol, grid, cutoff)
     writer = csv.writer(sys.stdout)
     writer.writerow(["gamma2", "gamma1", "probability", "fidelity", "leaked_norm", "error"])
@@ -180,34 +174,10 @@ def cmd_oracle_check(args) -> int:
         raise FockError("oracle-check supports cutoff <= 16")
     if not 0.0 <= args.gamma < 1.0:
         raise FockError("gamma must lie in [0, 1)")
-    deviation = squeezers_max_deviation(args.gamma, args.cutoff, args.theta_terms)
+    deviation = squeezers.oracle_max_deviation(args.gamma, args.cutoff, args.theta_terms)
     print(json.dumps({"gamma": args.gamma, "cutoff": args.cutoff,
                       "max_amplitude_deviation": deviation}))
     return 0 if deviation < 1e-9 else NUMERIC_ERROR
-
-
-def squeezers_max_deviation(gamma: float, cutoff: int, theta_terms: int) -> float:
-    """Max amplitude gap between the factored and series squeezer paths."""
-    ma, mb = ModeLabel(0), ModeLabel(1)
-    spec = squeezers.SqueezerSpec(ma, mb, gamma)
-    probes = [
-        states.make_basis_state((ma, mb), (0, 0), cutoff),
-        states.make_basis_state((ma, mb), (1, 1), cutoff),
-    ]
-    mixed = {
-        (0, 0): 0.5, (1, 0): 0.5j, (2, 2): -0.5,
-        (min(5, cutoff), min(3, cutoff)): 0.35,
-        (cutoff, cutoff): 0.35,
-    }
-    probes.append(states.PureState((ma, mb), mixed, cutoff))
-    worst = 0.0
-    for probe in probes:
-        fast = squeezers.apply_two_mode_squeezer(probe, spec)
-        slow = squeezers.apply_squeezer_taylor_oracle(probe, spec, theta_terms)
-        occs = set(fast.terms) | set(slow.terms)
-        for occ in occs:
-            worst = max(worst, abs(fast.amplitude(occ) - slow.amplitude(occ)))
-    return worst
 
 
 # -- parser -------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """End-to-end heralded circuits: NLS gate and vacuum/one-photon teleportation.
 
-Each protocol builds the input superposition, runs the squeezer (or PDC)
-layers, conditions on the coincidence pattern, and reports the normalized
-conditional state together with the herald probability and the fidelity
-against the analytic target.  Parameter constraint solvers and a success
+A ``Circuit`` holds one heralded setup as data (input occupations, squeezer
+or type-II PDC layers, detected modes, target), and ``run_circuit`` runs
+any of them: input superposition, layers, coincidence herald, then the
+normalized conditional state with its herald probability and fidelity to
+the target.  ``NLS``, ``QUBIT_TELEPORT`` and ``QUTRIT_TELEPORT`` are the
+paper's three uses of one setup, behind ``run_nls``, ``run_qubit_teleport``
+and ``run_qutrit_teleport``.  Parameter constraint solvers and a success
 probability optimizer/sweep layer live here as well.
 """
 
@@ -12,16 +15,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
-# outcome_distribution is unused here but stays in this namespace, where
-# the benchmark's tracer (perfbench/tracing.py) wraps it
-from .heralding import (  # noqa: F401
-    DetectionPattern,
-    herald_weights,
-    outcome_distribution,
-    project,
-)
+from .heralding import DetectionPattern, herald_weights, project
 from .squeezers import PdcSpec, SqueezerSpec, apply_two_mode_squeezer, apply_type2_pdc
 from .states import (
     EPS_ZERO,
@@ -31,7 +28,6 @@ from .states import (
     ZeroNormError,
     inner_product,
     make_basis_state,
-    normalize,
     superpose,
 )
 
@@ -149,11 +145,17 @@ def solve_nls_params() -> GateParams:
     # snap to the closed forms; the bisection served as confirmation
     g1, g2 = g1_closed, g2_closed
 
-    r1 = math.sqrt(g2) - math.sqrt(g1) * (1.0 - 2.0 * g2)
-    r2 = math.sqrt(g2) + g1 * math.sqrt(g2) * (3.0 * g2 - 2.0)
+    r1, r2 = coupling_residuals(g1, g2)
     if max(abs(r1), abs(r2)) >= 1e-12:
         raise FockError(f"coupling residuals too large: {r1:.2e}, {r2:.2e}")
     return GateParams(g1, g2)
+
+
+def coupling_residuals(g1: float, g2: float) -> tuple[float, float]:
+    """Residuals of the two NLS coupling equations; r1 alone is the teleport one."""
+    r1 = math.sqrt(g2) - math.sqrt(g1) * (1.0 - 2.0 * g2)
+    r2 = math.sqrt(g2) + g1 * math.sqrt(g2) * (3.0 * g2 - 2.0)
+    return r1, r2
 
 
 def solve_teleport_constraint(gamma2: float) -> float:
@@ -194,36 +196,58 @@ def fix_global_phase(state: PureState) -> PureState:
 # -- circuits ----------------------------------------------------------------
 
 
-def _single_rail_circuit(
-    coeffs: InputCoefficients, params: GateParams, cutoff: int
-) -> tuple[PureState, "DetectionPattern", list[ModeLabel]]:
-    """Common NLS / qubit-teleport circuit on unpolarized paths 1, 2, 3."""
-    m1, m2, m3 = ModeLabel(1), ModeLabel(2), ModeLabel(3)
-    modes = (m1, m2, m3)
-    parts = [
-        (coeffs.c0, make_basis_state(modes, (0, 0, 0), cutoff)),
-        (coeffs.c1, make_basis_state(modes, (1, 0, 0), cutoff)),
-    ]
-    if coeffs.c2 != 0:
-        parts.append((coeffs.c2, make_basis_state(modes, (2, 0, 0), cutoff)))
-    psi = superpose(parts)
-    psi = apply_two_mode_squeezer(psi, SqueezerSpec(m2, m3, params.gamma1))
-    psi = apply_two_mode_squeezer(psi, SqueezerSpec(m1, m2, params.gamma2))
-    return psi, DetectionPattern({m1: 1, m2: 1}), [m1, m2]
+@dataclass(frozen=True)
+class Circuit:
+    """A heralded circuit as data: input, amplifier layers, herald and target.
+
+    Coefficient c_i enters on the occupation ``inputs[i]`` of ``modes`` and
+    should leave on the occupation ``targets[i]`` of ``out_modes``, with its
+    sign flipped when i is in ``negated``.  Each layer is
+    ``(SqueezerSpec or PdcSpec, a, b, g)``: the spec's two modes (or paths)
+    and the index g of its coupling in (gamma1, gamma2).  The herald is one
+    photon on every ``detected`` mode.  ``closed_form(g1, g2, w0, w1, w2)``
+    is the herald probability for input weights w_i = |c_i|^2, and
+    ``paper_claim(g1, g2)`` the probability the paper states, if any.
+    """
+
+    name: str
+    modes: tuple[ModeLabel, ...]
+    inputs: tuple[tuple[int, ...], ...]
+    layers: tuple[tuple[type, object, object, int], ...]
+    detected: tuple[ModeLabel, ...]
+    out_modes: tuple[ModeLabel, ...]
+    targets: tuple[tuple[int, ...], ...]
+    negated: tuple[int, ...]
+    closed_form: Callable[..., float]
+    paper_claim: Callable[[float, float], float] | None = None
 
 
-def _finish(
-    protocol: str,
-    psi: PureState,
-    pattern: DetectionPattern,
-    detected: list[ModeLabel],
-    target: PureState,
-    params: GateParams,
-    paper_claim: float | None,
-    closed_form: float | None,
+def run_circuit(
+    circuit: Circuit, coeffs: InputCoefficients, params: GateParams, cutoff: int
 ) -> ProtocolResult:
-    outcome = project(psi, pattern)
-    dist = herald_weights(psi, detected)
+    """Run ``circuit`` on the normalized ``coeffs`` and herald the output.
+
+    Zero coefficients add no term to the input or to the target, so a
+    circuit's unused occupations need not fit under the cutoff.
+    """
+    cs = (coeffs.c0, coeffs.c1, coeffs.c2)
+    psi = superpose(
+        [(c, make_basis_state(circuit.modes, occ, cutoff))
+         for c, occ in zip(cs, circuit.inputs) if c != 0]
+    )
+    gammas = (params.gamma1, params.gamma2)
+    for spec, a, b, g in circuit.layers:
+        apply = apply_type2_pdc if spec is PdcSpec else apply_two_mode_squeezer
+        psi = apply(psi, spec(a, b, gammas[g]))
+    target = superpose(
+        [(-c if i in circuit.negated else c, make_basis_state(circuit.out_modes, occ, cutoff))
+         for i, (c, occ) in enumerate(zip(cs, circuit.targets)) if c != 0]
+    )
+    target = fix_global_phase(target)
+    closed = circuit.closed_form(*gammas, *(abs(c) ** 2 for c in cs))
+    claim = None if circuit.paper_claim is None else circuit.paper_claim(*gammas)
+
+    outcome = project(psi, DetectionPattern({m: 1 for m in circuit.detected}))
     if outcome.probability > EPS_ZERO:
         out_state = fix_global_phase(outcome.conditional_state)
         fid = fidelity(out_state, target)
@@ -231,7 +255,7 @@ def _finish(
         out_state = outcome.conditional_state
         fid = 0.0
     return ProtocolResult(
-        protocol=protocol,
+        protocol=circuit.name,
         gamma1=params.gamma1,
         gamma2=params.gamma2,
         output_state=out_state,
@@ -239,10 +263,52 @@ def _finish(
         fidelity=fid,
         target_state=target,
         leaked_norm=psi.leaked_norm,
-        paper_claimed_probability=paper_claim,
-        closed_form_probability=closed_form,
-        herald_distribution=dist,
+        paper_claimed_probability=claim,
+        closed_form_probability=closed,
+        herald_distribution=herald_weights(psi, list(circuit.detected)),
     )
+
+
+_M1, _M2, _M3 = ModeLabel(1), ModeLabel(2), ModeLabel(3)
+_H1, _V1, _H2, _V2, _H3, _V3 = (ModeLabel(p, q) for p in (1, 2, 3) for q in "HV")
+
+# squeezers on (2, 3) then (1, 2) over unpolarized paths; a coincidence on
+# paths 1 and 2 leaves c0|0> + c1|1> - c2|2> on path 3
+NLS = Circuit(
+    name="nls",
+    modes=(_M1, _M2, _M3),
+    inputs=((0, 0, 0), (1, 0, 0), (2, 0, 0)),
+    layers=((SqueezerSpec, _M2, _M3, 0), (SqueezerSpec, _M1, _M2, 1)),
+    detected=(_M1, _M2),
+    out_modes=(_M3,),
+    targets=((0,), (1,), (2,)),
+    negated=(2,),
+    closed_form=lambda g1, g2, w0, w1, w2: (1 - g1) * (1 - g2) * (
+        g2 * w0 + g1 * (1 - 2 * g2) ** 2 * w1 + g1 * g1 * g2 * (3 * g2 - 2) ** 2 * w2
+    ),
+)
+
+# the same setup teleports c0|0> + c1|1>: the NLS circuit with c2 = 0
+QUBIT_TELEPORT = replace(
+    NLS, name="teleport-qubit", paper_claim=lambda g1, g2: 2.0 * (1 - g1) * (1 - g2) * g2
+)
+
+# two type-II PDC layers on polarized paths; a four-fold coincidence on
+# paths 1 and 2 leaves c0|0> + c1|H> + c2|V> on path 3
+QUTRIT_TELEPORT = Circuit(
+    name="teleport-qutrit",
+    modes=(_H1, _V1, _H2, _V2, _H3, _V3),
+    inputs=((0,) * 6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)),
+    layers=((PdcSpec, 2, 3, 0), (PdcSpec, 1, 2, 1)),
+    detected=(_H1, _V1, _H2, _V2),
+    out_modes=(_H3, _V3),
+    targets=((0, 0), (1, 0), (0, 1)),
+    negated=(),
+    closed_form=lambda g1, g2, w0, w1, w2: (1 - g1) ** 2 * (1 - g2) ** 2 * (
+        g2 * g2 * w0 + g1 * (1 - 2 * g2) ** 2 * g2 * (w1 + w2)
+    ),
+    paper_claim=lambda g1, g2: 3.0 * ((1 - g1) ** 2 * (1 - g2) ** 2) * g2 * g2,
+)
 
 
 def run_nls(
@@ -260,23 +326,7 @@ def run_nls(
     coeffs = coeffs.normalized()
     if params is None:
         params = solve_nls_params()
-    psi, pattern, detected = _single_rail_circuit(coeffs, params, cutoff)
-    m3 = ModeLabel(3)
-    target = superpose(
-        [
-            (coeffs.c0, make_basis_state((m3,), (0,), cutoff)),
-            (coeffs.c1, make_basis_state((m3,), (1,), cutoff)),
-            (-coeffs.c2, make_basis_state((m3,), (2,), cutoff)),
-        ]
-    )
-    target = fix_global_phase(target)
-    g1, g2 = params.gamma1, params.gamma2
-    closed = (1 - g1) * (1 - g2) * (
-        g2 * abs(coeffs.c0) ** 2
-        + g1 * (1 - 2 * g2) ** 2 * abs(coeffs.c1) ** 2
-        + g1 * g1 * g2 * (3 * g2 - 2) ** 2 * abs(coeffs.c2) ** 2
-    )
-    return _finish("nls", psi, pattern, detected, target, params, None, closed)
+    return run_circuit(NLS, coeffs, params, cutoff)
 
 
 def run_qubit_teleport(
@@ -294,25 +344,8 @@ def run_qubit_teleport(
     if abs(coeffs.c2) != 0:
         raise FockError("qubit teleport requires c2 = 0")
     coeffs = coeffs.normalized()
-    gamma1 = solve_teleport_constraint(gamma2)
-    params = GateParams(gamma1, gamma2)
-    psi, pattern, detected = _single_rail_circuit(coeffs, params, cutoff)
-    m3 = ModeLabel(3)
-    target = superpose(
-        [
-            (coeffs.c0, make_basis_state((m3,), (0,), cutoff)),
-            (coeffs.c1, make_basis_state((m3,), (1,), cutoff)),
-        ]
-    )
-    target = fix_global_phase(target)
-    g1, g2 = gamma1, gamma2
-    closed = (1 - g1) * (1 - g2) * (
-        g2 * abs(coeffs.c0) ** 2 + g1 * (1 - 2 * g2) ** 2 * abs(coeffs.c1) ** 2
-    )
-    claim = 2.0 * (1 - g1) * (1 - g2) * g2
-    return _finish(
-        "teleport-qubit", psi, pattern, detected, target, params, claim, closed
-    )
+    params = GateParams(solve_teleport_constraint(gamma2), gamma2)
+    return run_circuit(QUBIT_TELEPORT, coeffs, params, cutoff)
 
 
 def run_qutrit_teleport(
@@ -326,51 +359,8 @@ def run_qutrit_teleport(
     H2, V2.  Output lives on path 3 (modes H3, V3).
     """
     coeffs = coeffs.normalized()
-    gamma1 = solve_teleport_constraint(gamma2)
-    params = GateParams(gamma1, gamma2)
-    labels = {
-        (p, q): ModeLabel(p, q) for p in (1, 2, 3) for q in ("H", "V")
-    }
-    modes = tuple(labels[(p, q)] for p in (1, 2, 3) for q in ("H", "V"))
-    zero = (0,) * 6
-
-    def occ_with(path_pol: tuple[int, str]) -> tuple[int, ...]:
-        i = modes.index(labels[path_pol])
-        occ = list(zero)
-        occ[i] = 1
-        return tuple(occ)
-
-    psi = superpose(
-        [
-            (coeffs.c0, make_basis_state(modes, zero, cutoff)),
-            (coeffs.c1, make_basis_state(modes, occ_with((1, "H")), cutoff)),
-            (coeffs.c2, make_basis_state(modes, occ_with((1, "V")), cutoff)),
-        ]
-    )
-    psi = apply_type2_pdc(psi, PdcSpec(2, 3, gamma1))
-    psi = apply_type2_pdc(psi, PdcSpec(1, 2, gamma2))
-    detected = [labels[(1, "H")], labels[(1, "V")], labels[(2, "H")], labels[(2, "V")]]
-    pattern = DetectionPattern({m: 1 for m in detected})
-
-    out_modes = (labels[(3, "H")], labels[(3, "V")])
-    target = superpose(
-        [
-            (coeffs.c0, make_basis_state(out_modes, (0, 0), cutoff)),
-            (coeffs.c1, make_basis_state(out_modes, (1, 0), cutoff)),
-            (coeffs.c2, make_basis_state(out_modes, (0, 1), cutoff)),
-        ]
-    )
-    target = fix_global_phase(target)
-    g1, g2 = gamma1, gamma2
-    pref = (1 - g1) ** 2 * (1 - g2) ** 2
-    closed = pref * (
-        g2 * g2 * abs(coeffs.c0) ** 2
-        + g1 * (1 - 2 * g2) ** 2 * g2 * (abs(coeffs.c1) ** 2 + abs(coeffs.c2) ** 2)
-    )
-    claim = 3.0 * pref * g2 * g2
-    return _finish(
-        "teleport-qutrit", psi, pattern, detected, target, params, claim, closed
-    )
+    params = GateParams(solve_teleport_constraint(gamma2), gamma2)
+    return run_circuit(QUTRIT_TELEPORT, coeffs, params, cutoff)
 
 
 # -- optimization and sweeps --------------------------------------------------
@@ -390,8 +380,10 @@ def _teleport_probability(protocol: str, gamma2: float, cutoff: int | None) -> f
     # infeasible couplings (gamma1 >= 1) count as zero success, so ranges
     # extending past the feasibility boundary remain searchable
     runner, coeffs, default_cutoff = _RUNNERS[protocol]
+    if cutoff is None:
+        cutoff = default_cutoff
     try:
-        return runner(coeffs, gamma2, cutoff or default_cutoff).success_probability
+        return runner(coeffs, gamma2, cutoff).success_probability
     except FockError:
         return 0.0
 
@@ -412,6 +404,8 @@ def optimize_teleport_success(
     lo, hi = gamma2_range
     if not (0.0 < lo <= hi < 0.5):
         raise FockError(f"gamma2 range must lie inside (0, 0.5), got {gamma2_range}")
+    if cutoff is not None and cutoff < 1:  # every run would fail and score 0
+        raise FockError(f"cutoff must be positive, got {cutoff}")
     solve_teleport_constraint(lo)  # gamma1 monotone: lo infeasible => all are
     if lo == hi:
         return lo, _teleport_probability(protocol, lo, cutoff)
@@ -446,6 +440,8 @@ def sweep(
         raise FockError(f"unknown teleport protocol {protocol!r}")
     runner, balanced, default_cutoff = _RUNNERS[protocol]
     coeffs = coeffs or balanced
+    if cutoff is None:
+        cutoff = default_cutoff
     rows = []
     for g2 in gamma2_values:
         row = {
@@ -459,7 +455,7 @@ def sweep(
         if 0.0 < g2 < 0.5:
             row["gamma1"] = g2 / (1.0 - 2.0 * g2) ** 2
         try:
-            res = runner(coeffs, g2, cutoff or default_cutoff)
+            res = runner(coeffs, g2, cutoff)
             row.update(
                 gamma1=res.gamma1,
                 probability=res.success_probability,

@@ -31,6 +31,7 @@ from .states import (
     _key_strides,
     _merge_by_key,
     _norm_sq,
+    make_basis_state,
 )
 
 
@@ -267,3 +268,26 @@ def apply_squeezer_taylor_oracle(
     out_norm_sq = sum(abs(a) ** 2 for a in out.values())
     leaked = state.leaked_norm + max(0.0, in_norm_sq - out_norm_sq)
     return PureState(state.modes, out, c, leaked)
+
+
+def oracle_max_deviation(gamma: float, cutoff: int, theta_terms: int) -> float:
+    """Max amplitude gap between the factored and series squeezer paths."""
+    ma, mb = ModeLabel(0), ModeLabel(1)
+    spec = SqueezerSpec(ma, mb, gamma)
+    probes = [
+        make_basis_state((ma, mb), (0, 0), cutoff),
+        make_basis_state((ma, mb), (1, 1), cutoff),
+    ]
+    mixed = {
+        (0, 0): 0.5, (1, 0): 0.5j, (2, 2): -0.5,
+        (min(5, cutoff), min(3, cutoff)): 0.35,
+        (cutoff, cutoff): 0.35,
+    }
+    probes.append(PureState((ma, mb), mixed, cutoff))
+    worst = 0.0
+    for probe in probes:
+        fast = apply_two_mode_squeezer(probe, spec)
+        slow = apply_squeezer_taylor_oracle(probe, spec, theta_terms)
+        for occ in set(fast.terms) | set(slow.terms):
+            worst = max(worst, abs(fast.amplitude(occ) - slow.amplitude(occ)))
+    return worst

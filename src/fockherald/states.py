@@ -33,7 +33,6 @@ import numpy as np
 
 EPS_DROP = 1e-16   # squared-amplitude pruning threshold
 EPS_ZERO = 1e-12   # below this a norm counts as zero
-EPS_NUM = 1e-10    # accumulated floating tolerance per protocol run
 KEY_MAX = 2**63 - 1  # largest int64 term key
 
 _POL_ORDER = {None: "", "H": "H", "V": "V"}
@@ -164,7 +163,6 @@ class PureState:
         terms: Mapping[tuple[int, ...], complex],
         cutoff: int,
         leaked_norm: float = 0.0,
-        eps_drop: float = EPS_DROP,
     ):
         modes = tuple(modes)
         _validate_modes(modes)
@@ -196,7 +194,7 @@ class PureState:
                     )
             amp = complex(amp)
             mag2 = amp.real * amp.real + amp.imag * amp.imag
-            if mag2 < eps_drop:
+            if mag2 < EPS_DROP:
                 leaked += mag2
             else:
                 kept[occ] = amp
@@ -392,10 +390,10 @@ def inner_product(a: PureState, b: PureState) -> complex:
     return complex((a.amplitudes[rows_a].conj() * b.amplitudes[rows_b]).sum())
 
 
-def normalize(a: PureState, eps_zero: float = EPS_ZERO) -> tuple[PureState, float]:
+def normalize(a: PureState) -> tuple[PureState, float]:
     """Rescale to unit norm; returns (normalized state, original norm)."""
     n = a.norm()
-    if n <= eps_zero:
+    if n <= EPS_ZERO:
         raise ZeroNormError(f"cannot normalize state with norm {n:.3e}")
     if abs(n - 1.0) < 1e-15:
         return a, n

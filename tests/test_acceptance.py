@@ -29,7 +29,7 @@ from fockherald import (
     squeezer_matrix_element,
     vacuum_state,
 )
-from fockherald.cli import squeezers_max_deviation
+from fockherald.squeezers import oracle_max_deviation
 
 RNG = np.random.default_rng(20260823)
 
@@ -102,7 +102,7 @@ def test_criterion_4_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for gamma in (0.01, 0.2, 0.5, 0.757359):
-        worst = max(worst, squeezers_max_deviation(gamma, 12, 80))
+        worst = max(worst, oracle_max_deviation(gamma, 12, 80))
     elapsed = time.perf_counter() - start
     assert worst < 1e-9
     assert elapsed < 10.0

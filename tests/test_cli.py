@@ -133,6 +133,21 @@ def test_env_cutoff_invalid(capsys, monkeypatch):
     assert "FOCKHERALD_CUTOFF" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "nls", "--cutoff", "0"],
+        ["sweep", "teleport-qubit", "--start", "0.1", "--stop", "0.2",
+         "--points", "2", "--cutoff", "0"],
+    ],
+)
+def test_cutoff_zero_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--cutoff" in json.loads(err)["error"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "not-a-protocol"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -19,7 +20,7 @@ from fockherald import (
     superpose,
     vacuum_state,
 )
-from fockherald.protocols import _finish, _single_rail_circuit
+from fockherald.protocols import NLS, run_circuit
 
 M1, M2, M3 = ModeLabel(1), ModeLabel(2), ModeLabel(3)
 
@@ -174,14 +175,13 @@ def test_herald_distribution_convention():
     coeffs = InputCoefficients(0.6, 0.48, 0.64)
     params, cutoff = GateParams(0.4, 0.2), 16
     res = run_nls(coeffs, params, cutoff)
-    psi, pattern, detected = _single_rail_circuit(coeffs, params, cutoff)
-    assert detected == [M1, M2]
-    expected = _as_count_tuples(outcome_distribution(psi, detected))
+    psi = nls_circuit(0.6, 0.48, 0.64, 0.4, 0.2, cutoff)
+    assert NLS.detected == (M1, M2)
+    expected = _as_count_tuples(outcome_distribution(psi, [M1, M2]))
     assert res.herald_distribution == expected
     # counts stay in canonical mode order when detected modes are given
     # out of order, and the order of the patterns does not change
-    reordered = _finish("nls", psi, pattern, [M2, M1], res.target_state,
-                        params, None, None)
+    reordered = run_circuit(dataclasses.replace(NLS, detected=(M2, M1)), coeffs, params, cutoff)
     assert reordered.herald_distribution == expected
     assert _as_count_tuples(outcome_distribution(psi, [M2, M1])) == expected
 

@@ -23,6 +23,7 @@ from fockherald import (
     superpose,
     sweep,
 )
+from fockherald.protocols import NLS, QUBIT_TELEPORT, QUTRIT_TELEPORT, run_circuit
 
 G2_CLOSED = (3 - math.sqrt(2)) / 7
 G1_CLOSED = (21 - 7 * math.sqrt(2)) / (9 + 4 * math.sqrt(2))
@@ -272,6 +273,11 @@ def test_optimizer_invalid_range():
         optimize_teleport_success("teleport-qubit", (0.0, 0.1))
 
 
+def test_optimizer_rejects_cutoff_zero():
+    with pytest.raises(FockError, match="cutoff"):
+        optimize_teleport_success("teleport-qubit", (0.02, 0.2), cutoff=0)
+
+
 def test_sweep_single_point_matches_run():
     rows = sweep("teleport-qubit", [0.1])
     res = run_qubit_teleport(
@@ -302,6 +308,37 @@ def test_sweep_flags_invalid_points():
     assert rows[0]["error"] is None
     assert rows[1]["error"] is not None
     assert rows[1]["probability"] is None
+
+
+def test_sweep_cutoff_zero_is_an_error_row():
+    rows = sweep("teleport-qubit", [0.1], cutoff=0)
+    assert rows[0]["error"] is not None
+    assert rows[0]["probability"] is None
+
+
+# -- circuits as data ------------------------------------------------------------
+
+
+@given(
+    circuit=st.sampled_from([NLS, QUBIT_TELEPORT, QUTRIT_TELEPORT]),
+    cutoff=st.integers(min_value=2, max_value=12),
+    g2=st.floats(min_value=0.01, max_value=0.24),
+)
+@settings(max_examples=40, deadline=None)
+def test_herald_weights_and_leak_balance(circuit, cutoff, g2):
+    qubit = circuit is QUBIT_TELEPORT
+    coeffs = InputCoefficients(0.6, 0.8) if qubit else InputCoefficients(0.6, 0.48, 0.64)
+    params = GateParams(solve_teleport_constraint(g2), g2)
+    res = run_circuit(circuit, coeffs, params, cutoff)
+    total = math.fsum(w for _, w in res.herald_distribution)
+    assert abs(total + res.leaked_norm - 1.0) <= 1e-12
+
+
+def test_qubit_teleport_at_cutoff_one():
+    # c2 = 0 adds no |2> term, so the target fits under cutoff 1
+    res = run_qubit_teleport(InputCoefficients(0.6, 0.8), 0.1, cutoff=1)
+    assert res.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert res.target_state.cutoff == 1
 
 
 # -- result serialization ----------------------------------------------------------
