@@ -5,13 +5,16 @@ Projection keeps the matching terms, strips the detected modes from the
 surviving state, and reports the herald probability separately from the
 (normalized) conditional state.  Both projection and the herald
 distribution work on the state's arrays: a boolean row mask selects the
-terms of one pattern, and the distribution sums squared amplitudes by the
-int64 key of the detected counts in a single pass.
+terms of one pattern (for every state of a ``StateBatch`` at once), and the
+distribution sums squared amplitudes by the int64 key of the detected
+counts in a single pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .states import (
     EPS_ZERO,
@@ -19,12 +22,14 @@ from .states import (
     ModeLabel,
     ModeMismatchError,
     PureState,
+    StateBatch,
+    _as_batch,
     _key_strides,
     _mag2,
     _merge_by_key,
-    _norm_sq,
+    _rescale,
+    _row_sums,
     canonical_modes,
-    normalize,
 )
 
 
@@ -45,10 +50,14 @@ class DetectionPattern:
 
 @dataclass(frozen=True)
 class HeraldOutcome:
-    """Normalized conditional state plus the herald probability."""
+    """Normalized conditional state plus the herald probability.
 
-    conditional_state: PureState
-    probability: float
+    Projecting a ``StateBatch`` gives a batch of conditional states and an
+    array of probabilities, one per state.
+    """
+
+    conditional_state: PureState | StateBatch
+    probability: float | np.ndarray
 
 
 def _detected_indices(state: PureState, modes) -> list[int]:
@@ -62,30 +71,40 @@ def _detected_indices(state: PureState, modes) -> list[int]:
     return idx
 
 
-def project(state: PureState, pattern: DetectionPattern) -> HeraldOutcome:
-    """Condition on the pattern; zero-probability heralds are a value."""
-    items = pattern.sorted_items()
-    idx = _detected_indices(state, [m for m, _ in items])
-    for (mode, count) in items:
-        if count > state.cutoff:
-            raise FockError(f"pattern count {count} on {mode} exceeds cutoff")
-    keep_idx = [i for i in range(len(state.modes)) if i not in idx]
-    kept_modes = [state.modes[i] for i in keep_idx]
+def project(state: PureState | StateBatch, pattern: DetectionPattern) -> HeraldOutcome:
+    """Condition on the pattern; zero-probability heralds are a value.
 
-    occ = state.occupations
+    A state whose herald probability is at most ``EPS_ZERO`` conditions to
+    the empty state with its ledger unchanged.
+    """
+    batch = _as_batch(state)
+    items = pattern.sorted_items()
+    idx = _detected_indices(batch, [m for m, _ in items])
+    for (mode, count) in items:
+        if count > batch.cutoff:
+            raise FockError(f"pattern count {count} on {mode} exceeds cutoff")
+    keep_idx = [i for i in range(len(batch.modes)) if i not in idx]
+    kept_modes = [batch.modes[i] for i in keep_idx]
+
+    occ = batch.occupations
     match = (occ[:, idx] == [c for _, c in items]).all(axis=1)
-    amp = state.amplitudes[match]
-    prob = _norm_sq(amp)
-    if prob <= EPS_ZERO:
-        empty = PureState._from_arrays(
-            kept_modes, occ[:0, keep_idx], amp[:0], state.cutoff, state.leaked_norm
-        )
-        return HeraldOutcome(empty, prob)
-    unnorm = PureState._from_arrays(
-        kept_modes, occ[match][:, keep_idx], amp, state.cutoff, state.leaked_norm
+    amp = batch.amplitudes.compress(match, axis=1)
+    support = None if batch.support is None else batch.support.compress(match, axis=1)
+    prob = _row_sums(_mag2(amp), support)
+    heralded = prob > EPS_ZERO
+    if not heralded.all():
+        amp = np.where(heralded[:, None], amp, 0)
+        if support is None:
+            support = np.ones(amp.shape, dtype=bool)
+        support = support & heralded[:, None]
+    unnorm = StateBatch._from_arrays(
+        kept_modes, occ[match][:, keep_idx], amp, batch.cutoff, batch.leaked_norm, support
     )
-    conditional, _ = normalize(unnorm)
-    return HeraldOutcome(conditional, prob)
+    # a heralded state's norm is sqrt(prob): unnorm holds the same entries
+    conditional = _rescale(unnorm, np.sqrt(prob), heralded)
+    if batch is state:
+        return HeraldOutcome(conditional, prob)
+    return HeraldOutcome(conditional[0], float(prob[0]))
 
 
 def herald_weights(

@@ -7,16 +7,20 @@ normalized conditional state with its herald probability and fidelity to
 the target.  ``NLS``, ``QUBIT_TELEPORT`` and ``QUTRIT_TELEPORT`` are the
 paper's three uses of one setup, behind ``run_nls``, ``run_qubit_teleport``
 and ``run_qutrit_teleport``.  Parameter constraint solvers and a success
-probability optimizer/sweep layer live here as well.
+probability optimizer/sweep layer live here as well; a sweep runs its grid
+through the circuit's layers as one ``StateBatch``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .heralding import DetectionPattern, herald_weights, project
 from .squeezers import PdcSpec, SqueezerSpec, apply_two_mode_squeezer, apply_type2_pdc
@@ -25,7 +29,9 @@ from .states import (
     FockError,
     ModeLabel,
     PureState,
+    StateBatch,
     ZeroNormError,
+    _as_batch,
     inner_product,
     make_basis_state,
     superpose,
@@ -34,6 +40,7 @@ from .states import (
 DEFAULT_NLS_CUTOFF = 64      # strong coupling, gamma1 ~ 0.757
 DEFAULT_QUBIT_CUTOFF = 16    # weak coupling teleport runs
 DEFAULT_QUTRIT_CUTOFF = 8
+SWEEP_CHUNK = 32             # grid points per sweep batch; bounds a sweep's memory
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,12 @@ class GateParams:
 
 @dataclass
 class ProtocolResult:
-    """Conditional output with success probability and target fidelity."""
+    """Conditional output with success probability and target fidelity.
+
+    ``pre_herald_state`` is the state the herald acts on; the weight of every
+    pattern on the ``detected`` modes, ``herald_distribution``, is computed
+    from it on first read.
+    """
 
     protocol: str
     gamma1: float
@@ -87,9 +99,15 @@ class ProtocolResult:
     leaked_norm: float
     paper_claimed_probability: float | None = None
     closed_form_probability: float | None = None
-    herald_distribution: list[tuple[tuple[int, ...], float]] = field(
-        default_factory=list
-    )
+    pre_herald_state: PureState | None = field(default=None, repr=False)
+    detected: tuple[ModeLabel, ...] = ()
+
+    @functools.cached_property
+    def herald_distribution(self) -> list[tuple[tuple[int, ...], float]]:
+        """``herald_weights`` of the pre-herald state on the detected modes."""
+        if self.pre_herald_state is None:
+            return []
+        return herald_weights(self.pre_herald_state, list(self.detected))
 
     def to_dict(self) -> dict:
         return {
@@ -173,24 +191,37 @@ def solve_teleport_constraint(gamma2: float) -> float:
 # -- fidelity and phase fixing ----------------------------------------------
 
 
-def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2 / (<a|a><b|b>); insensitive to global phases."""
-    na, nb = a.norm_sq(), b.norm_sq()
-    if na <= EPS_ZERO or nb <= EPS_ZERO:
+def fidelity(a: PureState | StateBatch, b: PureState) -> float | np.ndarray:
+    """|<a|b>|^2 / (<a|a><b|b>); insensitive to global phases.
+
+    A batch ``a`` gives one fidelity per state.
+    """
+    batch = _as_batch(a)
+    na, nb = batch.norm_sq().tolist(), b.norm_sq()
+    if min(na) <= EPS_ZERO or nb <= EPS_ZERO:
         raise ZeroNormError("fidelity requires nonzero states")
-    return abs(inner_product(a, b)) ** 2 / (na * nb)
+    overlaps = inner_product(batch, b).tolist()
+    fids = [abs(ip) ** 2 / (n * nb) for ip, n in zip(overlaps, na)]
+    return fids[0] if batch is not a else np.array(fids)
 
 
-def fix_global_phase(state: PureState) -> PureState:
-    """Rotate so the lowest-occupation nonzero amplitude is real positive."""
-    if not len(state.amplitudes):
+def fix_global_phase(state: PureState | StateBatch) -> PureState | StateBatch:
+    """Rotate so the lowest-occupation nonzero amplitude is real positive.
+
+    A batch is rotated state by state; an empty state stays as it is.
+    """
+    batch = _as_batch(state)
+    if not len(batch.occupations):
         return state
-    ref = complex(state.amplitudes[0])
-    phase = ref / abs(ref)
-    return PureState._from_arrays(
-        state.modes, state.occupations, state.amplitudes / phase,
-        state.cutoff, state.leaked_norm,
+    amp = batch.amplitudes
+    lead = 0 if batch.support is None else batch.support.argmax(axis=1)
+    refs = amp[np.arange(len(amp)), lead].tolist()
+    phases = np.array([ref / abs(ref) if ref else 1.0 for ref in refs])
+    out = StateBatch._from_arrays(
+        batch.modes, batch.occupations, amp / phases[:, None],
+        batch.cutoff, batch.leaked_norm, batch.support,
     )
+    return out if batch is state else out[0]
 
 
 # -- circuits ----------------------------------------------------------------
@@ -230,43 +261,57 @@ def run_circuit(
     Zero coefficients add no term to the input or to the target, so a
     circuit's unused occupations need not fit under the cutoff.
     """
+    psi, target, prob, out_state, fid = _run_batch(circuit, coeffs, [params], cutoff)
+    gammas = (params.gamma1, params.gamma2)
+    cs = (coeffs.c0, coeffs.c1, coeffs.c2)
+    return ProtocolResult(
+        protocol=circuit.name,
+        gamma1=params.gamma1,
+        gamma2=params.gamma2,
+        output_state=out_state[0],
+        success_probability=float(prob[0]),
+        fidelity=float(fid[0]),
+        target_state=target,
+        leaked_norm=float(psi.leaked_norm[0]),
+        paper_claimed_probability=None if circuit.paper_claim is None
+        else circuit.paper_claim(*gammas),
+        closed_form_probability=circuit.closed_form(*gammas, *(abs(c) ** 2 for c in cs)),
+        pre_herald_state=psi[0],
+        detected=circuit.detected,
+    )
+
+
+def _run_batch(
+    circuit: Circuit, coeffs: InputCoefficients, params: Sequence[GateParams], cutoff: int
+) -> tuple[StateBatch, PureState, np.ndarray, StateBatch, np.ndarray]:
+    """``circuit`` on one input for every ``params``, as one batch.
+
+    Returns the pre-herald batch, the target, and per state the herald
+    probability, the phase-fixed conditional state and its fidelity to the
+    target (0 where the herald probability is at most ``EPS_ZERO``).
+    """
     cs = (coeffs.c0, coeffs.c1, coeffs.c2)
     psi = superpose(
         [(c, make_basis_state(circuit.modes, occ, cutoff))
          for c, occ in zip(cs, circuit.inputs) if c != 0]
     )
-    gammas = (params.gamma1, params.gamma2)
+    psi = StateBatch.of(psi, len(params))
     for spec, a, b, g in circuit.layers:
         apply = apply_type2_pdc if spec is PdcSpec else apply_two_mode_squeezer
-        psi = apply(psi, spec(a, b, gammas[g]))
+        psi = apply(psi, [spec(a, b, (p.gamma1, p.gamma2)[g]) for p in params])
     target = superpose(
         [(-c if i in circuit.negated else c, make_basis_state(circuit.out_modes, occ, cutoff))
          for i, (c, occ) in enumerate(zip(cs, circuit.targets)) if c != 0]
     )
     target = fix_global_phase(target)
-    closed = circuit.closed_form(*gammas, *(abs(c) ** 2 for c in cs))
-    claim = None if circuit.paper_claim is None else circuit.paper_claim(*gammas)
 
     outcome = project(psi, DetectionPattern({m: 1 for m in circuit.detected}))
-    if outcome.probability > EPS_ZERO:
-        out_state = fix_global_phase(outcome.conditional_state)
-        fid = fidelity(out_state, target)
-    else:
-        out_state = outcome.conditional_state
-        fid = 0.0
-    return ProtocolResult(
-        protocol=circuit.name,
-        gamma1=params.gamma1,
-        gamma2=params.gamma2,
-        output_state=out_state,
-        success_probability=outcome.probability,
-        fidelity=fid,
-        target_state=target,
-        leaked_norm=psi.leaked_norm,
-        paper_claimed_probability=claim,
-        closed_form_probability=closed,
-        herald_distribution=herald_weights(psi, list(circuit.detected)),
-    )
+    heralded = outcome.probability > EPS_ZERO
+    out_state = fix_global_phase(outcome.conditional_state)
+    fid = np.zeros(len(params))
+    if heralded.any():
+        fid[heralded] = fidelity(out_state.take(heralded), target)
+    return psi, target, outcome.probability, out_state, fid
 
 
 _M1, _M2, _M3 = ModeLabel(1), ModeLabel(2), ModeLabel(3)
@@ -339,13 +384,17 @@ def run_qubit_teleport(
     gamma1 follows from the teleport constraint; the herald is one photon
     in each of modes 1 and 2.  The paper's doubled success probability is
     recorded in metadata, not asserted; the full herald distribution is
-    kept for auditing.
+    computed when ``herald_distribution`` is first read.
     """
-    if abs(coeffs.c2) != 0:
-        raise FockError("qubit teleport requires c2 = 0")
+    _require_qubit(coeffs)
     coeffs = coeffs.normalized()
     params = GateParams(solve_teleport_constraint(gamma2), gamma2)
     return run_circuit(QUBIT_TELEPORT, coeffs, params, cutoff)
+
+
+def _require_qubit(coeffs: InputCoefficients) -> None:
+    if abs(coeffs.c2) != 0:
+        raise FockError("qubit teleport requires c2 = 0")
 
 
 def run_qutrit_teleport(
@@ -374,18 +423,19 @@ _RUNNERS = {
     "teleport-qubit": (run_qubit_teleport, _BALANCED_QUBIT, DEFAULT_QUBIT_CUTOFF),
     "teleport-qutrit": (run_qutrit_teleport, _BALANCED_QUTRIT, DEFAULT_QUTRIT_CUTOFF),
 }
+_TELEPORT_CIRCUITS = {c.name: c for c in (QUBIT_TELEPORT, QUTRIT_TELEPORT)}
 
 
 def _teleport_probability(protocol: str, gamma2: float, cutoff: int | None) -> float:
     # infeasible couplings (gamma1 >= 1) count as zero success, so ranges
-    # extending past the feasibility boundary remain searchable
+    # extending past the feasibility boundary remain searchable; any other
+    # failure of the run is an error
     runner, coeffs, default_cutoff = _RUNNERS[protocol]
-    if cutoff is None:
-        cutoff = default_cutoff
     try:
-        return runner(coeffs, gamma2, cutoff).success_probability
+        solve_teleport_constraint(gamma2)
     except FockError:
         return 0.0
+    return runner(coeffs, gamma2, default_cutoff if cutoff is None else cutoff).success_probability
 
 
 def optimize_teleport_success(
@@ -435,14 +485,27 @@ def sweep(
     cutoff: int | None = None,
     coeffs: InputCoefficients | None = None,
 ) -> list[dict]:
-    """One row per grid point; invalid points yield an error row, not a raise."""
+    """One row per grid point; invalid points yield an error row, not a raise.
+
+    The feasible points run through the circuit as one batch of at most
+    ``SWEEP_CHUNK`` points at a time, which bounds the memory a long grid
+    takes; every row equals the row of a separate run at its point.
+    """
     if protocol not in _RUNNERS:
         raise FockError(f"unknown teleport protocol {protocol!r}")
-    runner, balanced, default_cutoff = _RUNNERS[protocol]
+    _, balanced, default_cutoff = _RUNNERS[protocol]
+    circuit = _TELEPORT_CIRCUITS[protocol]
     coeffs = coeffs or balanced
     if cutoff is None:
         cutoff = default_cutoff
-    rows = []
+    shared_error = None
+    try:
+        if circuit is QUBIT_TELEPORT:
+            _require_qubit(coeffs)
+        coeffs = coeffs.normalized()
+    except FockError as exc:
+        shared_error = str(exc)
+    rows, runs = [], []
     for g2 in gamma2_values:
         row = {
             "gamma2": g2,
@@ -450,19 +513,26 @@ def sweep(
             "probability": None,
             "fidelity": None,
             "leaked_norm": None,
-            "error": None,
+            "error": shared_error,
         }
+        rows.append(row)
         if 0.0 < g2 < 0.5:
             row["gamma1"] = g2 / (1.0 - 2.0 * g2) ** 2
+        if shared_error is None:
+            try:
+                runs.append((row, GateParams(solve_teleport_constraint(g2), g2)))
+            except FockError as exc:
+                row["error"] = str(exc)
+    for i in range(0, len(runs), SWEEP_CHUNK):
+        chunk = runs[i:i + SWEEP_CHUNK]
         try:
-            res = runner(coeffs, g2, cutoff)
-            row.update(
-                gamma1=res.gamma1,
-                probability=res.success_probability,
-                fidelity=res.fidelity,
-                leaked_norm=res.leaked_norm,
-            )
-        except FockError as exc:
-            row["error"] = str(exc)
-        rows.append(row)
+            psi, _, prob, _, fid = _run_batch(circuit, coeffs, [p for _, p in chunk], cutoff)
+        except FockError as exc:  # independent of the point: every run fails alike
+            for row, _ in chunk:
+                row["error"] = str(exc)
+            continue
+        for (row, params), p, f, leak in zip(
+            chunk, prob.tolist(), fid.tolist(), psi.leaked_norm.tolist()
+        ):
+            row.update(gamma1=params.gamma1, probability=p, fidelity=f, leaked_norm=leak)
     return rows

@@ -6,13 +6,14 @@ triangular on the truncated space: every output amplitude below the cutoff
 is exact, and the weight pushed past the cutoff is charged to the state's
 leaked-norm ledger.
 
-The kernel works on the state's arrays (see ``states``): the lowering and
-raising series coefficients of all terms are running products
-(``np.cumprod``) over per-step factor matrices, one row per input term or
-per (term, lowering order), and the outputs that land on the same
-occupation are merged by their int64 term key.  No per-term Python loop
-runs and no dict is built.  A slow series-exponential oracle is provided
-for cross-validation.
+The kernel works on a batch of states over one occupation matrix (see
+``states``): the lowering and raising series coefficients of all terms are
+running products (``np.cumprod``) over per-step factor matrices, one row
+per input term or per (term, lowering order) and one block per state, and
+the outputs that land on the same occupation are summed in a fixed order.
+The term structure is built once per batch and only the values per state;
+no per-term Python loop runs and no dict is built.  A slow
+series-exponential oracle is provided for cross-validation.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,9 +30,12 @@ from .states import (
     ModeLabel,
     ModeMismatchError,
     PureState,
+    StateBatch,
     _key_strides,
-    _merge_by_key,
-    _norm_sq,
+    _mag2,
+    _group_by_key,
+    _group_sums,
+    _row_sums,
     make_basis_state,
 )
 
@@ -69,71 +74,114 @@ class PdcSpec:
             raise FockError(f"gamma must lie in [0, 1), got {self.gamma}")
 
 
-def _series(scale: float, a: np.ndarray, b: np.ndarray, sign: int, length: int) -> np.ndarray:
+def _series(scale: np.ndarray, a: np.ndarray, b: np.ndarray, sign: int, length: int) -> np.ndarray:
     """Running products of scale/t * sqrt(a + sign*t) * sqrt(b + sign*t).
 
-    Row i, column t holds the product over steps 1..t for a[i], b[i]
-    (column 0 is 1), computed as ``np.cumprod`` over the step factors in the
-    order the term-by-term loop multiplies them.
+    Entry [r, i, t] holds the product over steps 1..t for scale[r], a[i] and
+    b[i] (column 0 is 1), computed as ``np.cumprod`` over the step factors in
+    the order the term-by-term loop multiplies them.
     """
     t = np.arange(1, length)
-    out = np.ones((len(a), length))
     steps = sign * t
     with np.errstate(invalid="ignore"):  # negative roots only past a row's last step
-        np.sqrt(a[:, None] + steps, out=out[:, 1:])
-        out[:, 1:] *= np.sqrt(b[:, None] + steps)
-    out[:, 1:] *= scale / t
-    return np.cumprod(out, axis=1, out=out)
+        roots = np.sqrt(a[:, None] + steps)
+        roots *= np.sqrt(b[:, None] + steps)
+    out = np.empty((len(scale), len(a), length))
+    out[:, :, 0] = 1.0
+    np.multiply(roots, (scale[:, None] / t)[:, None, :], out=out[:, :, 1:])
+    return np.cumprod(out, axis=2, out=out)
 
 
-def apply_two_mode_squeezer(state: PureState, spec: SqueezerSpec) -> PureState:
+def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every entry of rows ``lengths`` long, row by row."""
+    row = np.arange(len(lengths)).repeat(lengths)
+    return row, np.arange(len(row)) - (lengths.cumsum() - lengths).repeat(lengths)
+
+
+def apply_two_mode_squeezer(
+    state: PureState | StateBatch, spec: SqueezerSpec | Sequence[SqueezerSpec]
+) -> PureState | StateBatch:
     """Apply exp(s a†b†) (1-g)^((n_a+n_b+1)/2) exp(-s ab), s = sqrt(g).
 
     Photon-number difference on the mode pair is preserved term by term.
     Amplitude raised past the cutoff is added to leaked_norm exactly
     (the operator is unitary, so the lost weight is the norm deficit).
+    A ``StateBatch`` takes one spec per state, all on the same two modes.
     """
-    ia = state.index_of(spec.mode_a)
-    ib = state.index_of(spec.mode_b)
-    g = spec.gamma
-    s = math.sqrt(g)
-    cutoff = state.cutoff
-    log1mg = math.log1p(-g) if g > 0.0 else 0.0
-    occ, amp = state.occupations, state.amplitudes
+    if isinstance(state, PureState):
+        return _squeeze(StateBatch.of(state), (spec,))[0]
+    return _squeeze(state, spec)
+
+
+def _squeeze(batch: StateBatch, specs: Sequence[SqueezerSpec]) -> StateBatch:
+    # the term structure (lowering and raising rows, output lines, summation
+    # order) depends only on the occupations and is built once; only the
+    # values are computed per state
+    if len(specs) != len(batch):
+        raise FockError(f"{len(specs)} squeezer specs for {len(batch)} states")
+    pair_modes = (specs[0].mode_a, specs[0].mode_b)
+    if any((sp.mode_a, sp.mode_b) != pair_modes for sp in specs):
+        raise ModeMismatchError("a batch of squeezers must act on one pair of modes")
+    ia = batch.index_of(pair_modes[0])
+    ib = batch.index_of(pair_modes[1])
+    cutoff = batch.cutoff
+    gammas = [sp.gamma for sp in specs]
+    s = np.array([math.sqrt(g) for g in gammas])
+    # diagonal factor (1-g)^(t/2), tabulated with the same math.exp the
+    # term-by-term reference loop calls
+    decay = np.array([
+        [math.exp(0.5 * t * log1mg) for t in range(2 * cutoff + 2)]
+        for log1mg in (math.log1p(-g) if g > 0.0 else 0.0 for g in gammas)
+    ])
+    occ, amp = batch.occupations, batch.amplitudes
     m, n = occ[:, ia], occ[:, ib]
 
     # lowering exp(-s ab): term i at order k = 0..min(m, n), one row per term
     min_mn = np.minimum(m, n)
-    lowered = np.arange(min_mn.max(initial=0) + 1) <= min_mn[:, None]
-    low = _series(-s, m + 1, n + 1, -1, lowered.shape[1])[lowered]
-    term, k = np.nonzero(lowered)
+    term, k = _ragged(min_mn + 1)
+    width = int(min_mn.max(initial=0)) + 1
+    low = _series(-s, m + 1, n + 1, -1, width).reshape(len(s), -1).take(term * width + k, axis=1)
     mp, np_ = m[term] - k, n[term] - k
-    # diagonal factor (1-g)^((mp+np_+1)/2), tabulated with the same math.exp
-    # the term-by-term reference loop calls
-    decay = np.array([math.exp(0.5 * t * log1mg) for t in range(2 * cutoff + 2)])
-    base = amp[term] * low * decay[mp + np_ + 1]
+    base = amp.take(term, axis=1) * low * decay.take(mp + np_ + 1, axis=1)
 
     # raising exp(s a†b†): row r = (term, k) feeds j = 0..cutoff - max(mp, np_)
     cap = cutoff - np.maximum(mp, np_)
-    raised = np.arange(cap.max(initial=0) + 1) <= cap[:, None]
-    row, j = np.nonzero(raised)
-    values = base[row]
-    values *= _series(s, mp, np_, 1, raised.shape[1])[raised]
+    row, j = _ragged(cap + 1)
+    width = int(cap.max(initial=0)) + 1
+    values = base.take(row, axis=1)
+    values *= _series(s, mp, np_, 1, width).reshape(len(s), -1).take(row * width + j, axis=1)
 
-    # output (mp + j, np_ + j) sits j - k above the input term on both modes
-    # of the pair, so its key is an offset of the input key
-    strides = _key_strides(len(state.modes), cutoff)
+    # output (mp + j, np_ + j) lies on its input term's line (fixed
+    # spectators and n_a - n_b) at distance min(mp, np_) + j from the line's
+    # base, the term lowered min(m, n) times.  Every term of a line reaches
+    # all cutoff + 1 - |m - n| outputs of that line, so the outputs are
+    # numbered line by line, and sorted by key once summed.
+    strides = _key_strides(len(batch.modes), cutoff)
     pair = strides[ia] + strides[ib]
-    keys = j * pair
-    keys += ((occ @ strides)[term] - k * pair)[row]
-    first, out_amp = _merge_by_key(keys, values)
-    src = row[first]
-    out_occ = occ[term[src]]
-    out_occ[:, ia] = mp[src] + j[first]
-    out_occ[:, ib] = np_[src] + j[first]
+    line_keys = occ @ strides - min_mn * pair
+    rep, line_of = _group_by_key(line_keys)
+    length = cutoff + 1 - np.abs(m - n)[rep]
+    start = length.cumsum() - length
+    group = (start[line_of[term]] + min_mn[term] - k)[row] + j
+    out_line, pos = _ragged(length)
+    order = np.argsort(line_keys[rep[out_line]] + pos * pair, kind="stable")
+    out_line, pos = out_line[order], pos[order]
+    out_amp = _group_sums(group, values, len(order)).take(order, axis=1)
+    out_occ = occ[rep[out_line]]
+    shift = pos - min_mn[rep[out_line]]
+    out_occ[:, ia] += shift
+    out_occ[:, ib] += shift
 
-    leaked = state.leaked_norm + max(0.0, _norm_sq(amp) - _norm_sq(out_amp))
-    return PureState._from_arrays(state.modes, out_occ, out_amp, cutoff, leaked)
+    # a state's outputs are the lines its own terms lie on
+    reach = None
+    if batch.support is not None:
+        flat = (line_of + len(rep) * np.arange(len(batch))[:, None]).ravel()
+        on_line = np.bincount(flat, batch.support.ravel(), len(batch) * len(rep)) > 0
+        reach = on_line.reshape(len(batch), len(rep)).take(out_line, axis=1)
+
+    deficit = batch.norm_sq() - _row_sums(_mag2(out_amp), reach)
+    leaked = batch.leaked_norm + np.maximum(0.0, deficit)
+    return StateBatch._from_arrays(batch.modes, out_occ, out_amp, cutoff, leaked, reach)
 
 
 def squeezer_matrix_element(m: int, n: int, mp: int, np_: int, gamma: float) -> complex:
@@ -165,17 +213,26 @@ def squeezer_matrix_element(m: int, n: int, mp: int, np_: int, gamma: float) -> 
     return complex(total)
 
 
-def apply_type2_pdc(state: PureState, spec: PdcSpec) -> PureState:
-    """Type-II PDC: two commuting squeezers on crossed polarization pairs."""
-    pairs = (
-        (ModeLabel(spec.path_a, "H"), ModeLabel(spec.path_b, "V")),
-        (ModeLabel(spec.path_a, "V"), ModeLabel(spec.path_b, "H")),
-    )
-    for ma, mb in pairs:
+def apply_type2_pdc(
+    state: PureState | StateBatch, spec: PdcSpec | Sequence[PdcSpec]
+) -> PureState | StateBatch:
+    """Type-II PDC: two commuting squeezers on crossed polarization pairs.
+
+    A ``StateBatch`` takes one spec per state, all on the same two paths.
+    """
+    batch = isinstance(state, StateBatch)
+    specs = spec if batch else (spec,)
+    layers = [
+        [SqueezerSpec(ModeLabel(sp.path_a, pol_a), ModeLabel(sp.path_b, pol_b), sp.gamma)
+         for sp in specs]
+        for pol_a, pol_b in (("H", "V"), ("V", "H"))
+    ]
+    for layer in layers:
+        ma, mb = layer[0].mode_a, layer[0].mode_b
         if ma not in state.modes or mb not in state.modes:
             raise ModeMismatchError(f"PDC requires polarized modes {ma}, {mb}")
-    for ma, mb in pairs:
-        state = apply_two_mode_squeezer(state, SqueezerSpec(ma, mb, spec.gamma))
+    for layer in layers:
+        state = apply_two_mode_squeezer(state, layer if batch else layer[0])
     return state
 
 

@@ -19,6 +19,10 @@ Every mode carries the same per-mode photon-number cutoff; amplitude that
 any operation pushes past the cutoff (or that pruning discards) is
 accumulated in ``leaked_norm`` so the truncation error stays auditable end
 to end.
+
+A ``StateBatch`` holds many states over one shared occupation matrix, one
+amplitude row and one ledger per state.  The kernels are written for
+batches; a ``PureState`` passes through them as a batch of one.
 """
 
 from __future__ import annotations
@@ -104,10 +108,6 @@ def _mag2(amp: np.ndarray) -> np.ndarray:
     return amp.real * amp.real + amp.imag * amp.imag
 
 
-def _norm_sq(amp: np.ndarray) -> float:
-    return float(_mag2(amp).sum())
-
-
 def _key_strides(n_modes: int, cutoff: int) -> np.ndarray:
     """Mixed-radix weights: ``occupations @ strides`` gives each row's int64 key.
 
@@ -118,14 +118,36 @@ def _key_strides(n_modes: int, cutoff: int) -> np.ndarray:
     return np.array([(cutoff + 1) ** e for e in range(n_modes - 1, -1, -1)], dtype=np.int64)
 
 
-def _merge_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``values`` that share a key, in ascending key order.
+def _group_sums(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sum the columns of ``values`` by ``group``, row by row.
 
-    Returns the index of the first input row of each distinct key and the
-    sums.  Each sum adds its values one by one in input order (``bincount``
-    does; ``add.reduceat`` sums long runs pairwise), so a kernel that lists
-    its contributions in the order of a term-by-term loop reproduces that
-    loop's rounding even where the contributions cancel.
+    ``values`` has one row per state; the result has one row per state and
+    one column per group.  Each sum adds its values one by one in column
+    order (``bincount`` does; ``add.reduceat`` sums long runs pairwise), so a
+    kernel that lists its contributions in the order of a term-by-term loop
+    reproduces that loop's rounding even where the contributions cancel.
+    One ``bincount`` serves every row: row b's groups are offset by
+    b * ``n_groups``.
+    """
+    n_rows = len(values)
+    if n_rows > 1:
+        group = (group + n_groups * np.arange(n_rows)[:, None]).ravel()
+
+    def add(w):
+        return np.bincount(group, w.ravel(), n_rows * n_groups).reshape(n_rows, n_groups)
+
+    if values.dtype.kind != "c":
+        return add(values)
+    sums = np.empty((n_rows, n_groups), dtype=values.dtype)
+    sums.real = add(values.real)
+    sums.imag = add(values.imag)
+    return sums
+
+
+def _group_by_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row of each distinct key in ascending key order, and each row's group.
+
+    A row's group is the position of its key in that order.
     """
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -133,13 +155,41 @@ def _merge_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.
     first[:1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    group = np.searchsorted(sorted_keys[starts], keys)
-    if values.dtype.kind != "c":
-        return order[starts], np.bincount(group, values, len(starts))
-    sums = np.empty(len(starts), dtype=values.dtype)
-    sums.real = np.bincount(group, values.real, len(starts))
-    sums.imag = np.bincount(group, values.imag, len(starts))
-    return order[starts], sums
+    return order[starts], np.searchsorted(sorted_keys[starts], keys)
+
+
+def _merge_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``values`` that share a key, in ascending key order.
+
+    Returns the index of the first input row of each distinct key and the
+    sums, each added in input order (see ``_group_sums``).
+    """
+    first, group = _group_by_key(keys)
+    return first, _group_sums(group, values[None], len(first))[0]
+
+
+def _row_sums(values: np.ndarray, support: np.ndarray | None) -> np.ndarray:
+    """Each row of ``values`` summed over its ``support`` entries, in column order.
+
+    A row's sum rounds exactly as ``values[b][support[b]].sum()`` does: numpy
+    sums pairwise, so the zeros of entries outside the support must not take
+    part, and a 2-d ``sum(axis=1)`` may add column by column instead.
+    ``support=None`` means every entry of every row.
+    """
+    if support is None:
+        return np.array([row.sum() for row in values], dtype=values.dtype)
+    flat = values[support]
+    ends = np.cumsum(np.count_nonzero(support, axis=1)).tolist()
+    return np.array(
+        [flat[a:b].sum() for a, b in zip([0] + ends[:-1], ends)], dtype=values.dtype
+    )
+
+
+def _mode_index(modes: tuple[ModeLabel, ...], mode: ModeLabel) -> int:
+    try:
+        return modes.index(mode)
+    except ValueError:
+        raise ModeMismatchError(f"mode {mode} not in state modes {modes}")
 
 
 class PureState:
@@ -204,43 +254,6 @@ class PureState:
         self._set(modes, occupations.reshape(len(items), len(modes)), amplitudes,
                   cutoff, leaked)
 
-    @classmethod
-    def _from_arrays(
-        cls,
-        modes: Sequence[ModeLabel],
-        occupations: np.ndarray,
-        amplitudes: np.ndarray,
-        cutoff: int,
-        leaked_norm: float,
-    ) -> "PureState":
-        """Kernel-side constructor: the mapping constructor's checks, vectorised.
-
-        ``modes`` must be canonical and valid, and the rows of
-        ``occupations`` unique and in lexicographic order; the kernels
-        guarantee both.  Occupations are checked against 0 and the cutoff,
-        and terms with ``|amp|**2 < EPS_DROP`` move to ``leaked_norm``.
-        """
-        modes = tuple(modes)
-        _check_key_space(len(modes), cutoff)
-        if occupations.shape != (len(amplitudes), len(modes)):
-            raise ModeMismatchError(
-                f"occupation matrix of shape {occupations.shape} does not match"
-                f" {len(amplitudes)} amplitudes on {len(modes)} modes"
-            )
-        if occupations.min(initial=0) < 0:
-            raise FockError("negative occupation")
-        if occupations.max(initial=0) > cutoff:
-            raise CutoffExceededError(f"occupation exceeds cutoff {cutoff}")
-        mag2 = _mag2(amplitudes)
-        keep = mag2 >= EPS_DROP
-        leaked = float(leaked_norm)
-        if not keep.all():
-            leaked += float(mag2[~keep].sum())
-            occupations, amplitudes = occupations[keep], amplitudes[keep]
-        state = cls.__new__(cls)
-        state._set(modes, occupations, amplitudes, cutoff, leaked)
-        return state
-
     def _set(self, modes, occupations, amplitudes, cutoff, leaked) -> None:
         occupations.flags.writeable = False
         amplitudes.flags.writeable = False
@@ -261,16 +274,13 @@ class PureState:
     # -- queries ---------------------------------------------------------
 
     def index_of(self, mode: ModeLabel) -> int:
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise ModeMismatchError(f"mode {mode} not in state modes {self.modes}")
+        return _mode_index(self.modes, mode)
 
     def amplitude(self, occ: Sequence[int]) -> complex:
         return self.terms.get(tuple(occ), 0j)
 
     def norm_sq(self) -> float:
-        return _norm_sq(self.amplitudes)
+        return float(_mag2(self.amplitudes).sum())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -319,6 +329,133 @@ class PureState:
         return cls.from_dict(json.loads(text))
 
 
+class StateBatch:
+    """Rows of states that share modes, cutoff and one occupation matrix.
+
+    ``amplitudes`` is a complex128 matrix with one row per state and one
+    column per row of ``occupations`` (unique, lexicographic, as in
+    ``PureState``); ``leaked_norm`` holds each state's ledger.  A state's
+    terms are its nonzero entries: ``support`` marks them, or is None when
+    every state has every term.  The kernels build the term structure of a
+    batch once and compute only the values row by row, and every sum over a
+    state's terms runs over its support in column order, so row b of a
+    result equals, bit for bit, what the same kernel gives ``batch[b]``
+    alone.  A ``PureState`` passes through a kernel as a batch of one.
+    """
+
+    __slots__ = ("modes", "occupations", "amplitudes", "cutoff", "leaked_norm",
+                 "support", "_terms")
+
+    @classmethod
+    def of(cls, state: PureState, size: int = 1) -> "StateBatch":
+        """``size`` copies of ``state``."""
+        amp = state.amplitudes[None]
+        if size != 1:
+            amp = amp.repeat(size, axis=0)
+        batch = cls.__new__(cls)
+        batch._set(state.modes, state.occupations, amp, state.cutoff,
+                   np.full(size, state.leaked_norm), None)
+        return batch
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        modes: Sequence[ModeLabel],
+        occupations: np.ndarray,
+        amplitudes: np.ndarray,
+        cutoff: int,
+        leaked_norm: np.ndarray,
+        support: np.ndarray | None = None,
+    ) -> "StateBatch":
+        """Kernel-side constructor: the mapping constructor's checks, vectorised.
+
+        ``modes`` must be canonical and valid, and the rows of
+        ``occupations`` unique and in lexicographic order; the kernels
+        guarantee both.  ``support`` marks the entries that are terms of
+        each state (None: all of them); entries outside it must be zero.
+        Occupations are checked against 0 and the cutoff, and terms with
+        ``|amp|**2 < EPS_DROP`` move to their state's ``leaked_norm``.
+        """
+        modes = tuple(modes)
+        _check_key_space(len(modes), cutoff)
+        if occupations.shape != (amplitudes.shape[-1], len(modes)):
+            raise ModeMismatchError(
+                f"occupation matrix of shape {occupations.shape} does not match"
+                f" {amplitudes.shape[-1]} amplitudes on {len(modes)} modes"
+            )
+        if occupations.min(initial=0) < 0:
+            raise FockError("negative occupation")
+        if occupations.max(initial=0) > cutoff:
+            raise CutoffExceededError(f"occupation exceeds cutoff {cutoff}")
+        mag2 = _mag2(amplitudes)
+        keep = mag2 >= EPS_DROP
+        leaked = np.asarray(leaked_norm, dtype=float)
+        if keep.all():
+            support = None
+        else:
+            leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
+            rows = keep.any(axis=0)
+            if not rows.all():
+                occupations = occupations[rows]
+                amplitudes, keep = amplitudes.compress(rows, axis=1), keep.compress(rows, axis=1)
+            support = None if keep.all() else keep
+            if support is not None:
+                amplitudes = np.where(keep, amplitudes, 0)
+        batch = cls.__new__(cls)
+        batch._set(modes, occupations, amplitudes, cutoff, leaked, support)
+        return batch
+
+    def _set(self, modes, occupations, amplitudes, cutoff, leaked, support) -> None:
+        for arr in (occupations, amplitudes, leaked):
+            arr.flags.writeable = False
+        self.modes = modes
+        self.occupations = occupations
+        self.amplitudes = amplitudes
+        self.cutoff = int(cutoff)
+        self.leaked_norm = leaked
+        self.support = support
+        self._terms = None
+
+    def __len__(self) -> int:
+        return len(self.amplitudes)
+
+    def __getitem__(self, b: int) -> PureState:
+        """State ``b`` of the batch."""
+        occ, amp = self.occupations, self.amplitudes[b]
+        if self.support is not None:
+            occ, amp = occ[self.support[b]], amp[self.support[b]]
+        state = PureState.__new__(PureState)
+        state._set(self.modes, occ, amp, self.cutoff, float(self.leaked_norm[b]))
+        return state
+
+    def take(self, rows: np.ndarray) -> "StateBatch":
+        """The states where the boolean ``rows`` is set."""
+        if rows.all():
+            return self
+        batch = StateBatch.__new__(StateBatch)
+        batch._set(self.modes, self.occupations, self.amplitudes[rows], self.cutoff,
+                   self.leaked_norm[rows], None if self.support is None else self.support[rows])
+        return batch
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], np.ndarray]:
+        """{occupation tuple: that term's amplitude in every state}; do not mutate."""
+        if self._terms is None:
+            self._terms = dict(zip(map(tuple, self.occupations.tolist()), self.amplitudes.T))
+        return self._terms
+
+    def index_of(self, mode: ModeLabel) -> int:
+        return _mode_index(self.modes, mode)
+
+    def norm_sq(self) -> np.ndarray:
+        """Squared norm of every state."""
+        return _row_sums(_mag2(self.amplitudes), self.support)
+
+
+def _as_batch(state: PureState | StateBatch) -> StateBatch:
+    return StateBatch.of(state) if isinstance(state, PureState) else state
+
+
 # -- constructors and algebra ---------------------------------------------
 
 
@@ -355,7 +492,9 @@ def superpose(terms: Sequence[tuple[complex, PureState]]) -> PureState:
     occ = np.concatenate([st.occupations for _, st in terms])
     amp = np.concatenate([c * st.amplitudes for c, (_, st) in zip(coeffs, terms)])
     rows, summed = _merge_by_key(occ @ _key_strides(len(first.modes), first.cutoff), amp)
-    return PureState._from_arrays(first.modes, occ[rows], summed, first.cutoff, leaked)
+    return StateBatch._from_arrays(
+        first.modes, occ[rows], summed[None], first.cutoff, np.array([leaked])
+    )[0]
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -374,31 +513,63 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(modes, terms, a.cutoff, a.leaked_norm + b.leaked_norm)
 
 
-def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.modes != b.modes:
+def inner_product(a: PureState | StateBatch, b: PureState) -> complex | np.ndarray:
+    """<a|b>, conjugate-linear in the first argument; one per state of a batch ``a``."""
+    batch = _as_batch(a)
+    if batch.modes != b.modes:
         raise ModeMismatchError("inner_product requires identical mode sets")
     # rows are unique within each state, so a key shared by both appears
     # exactly twice after a stable sort: a's row first, then b's
-    strides = _key_strides(len(a.modes), max(a.cutoff, b.cutoff))
-    keys = np.concatenate((a.occupations @ strides, b.occupations @ strides))
+    strides = _key_strides(len(b.modes), max(batch.cutoff, b.cutoff))
+    keys = np.concatenate((batch.occupations @ strides, b.occupations @ strides))
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     shared = sorted_keys[1:] == sorted_keys[:-1]
     rows_a = order[:-1][shared]
-    rows_b = order[1:][shared] - len(a.amplitudes)
-    return complex((a.amplitudes[rows_a].conj() * b.amplitudes[rows_b]).sum())
+    rows_b = order[1:][shared] - len(batch.occupations)
+    # state by state over 1-d arrays of its shared terms: numpy's complex
+    # product rounds differently on other array shapes
+    sums = []
+    for r, amp in enumerate(batch.amplitudes):
+        ra, rb = rows_a, rows_b
+        if batch.support is not None:
+            on = batch.support[r, rows_a]
+            ra, rb = rows_a[on], rows_b[on]
+        sums.append(complex((amp[ra].conj() * b.amplitudes[rb]).sum()))
+    return sums[0] if batch is not a else np.array(sums)
 
 
-def normalize(a: PureState) -> tuple[PureState, float]:
-    """Rescale to unit norm; returns (normalized state, original norm)."""
-    n = a.norm()
-    if n <= EPS_ZERO:
-        raise ZeroNormError(f"cannot normalize state with norm {n:.3e}")
-    if abs(n - 1.0) < 1e-15:
-        return a, n
-    inv = 1.0 / n
-    leaked = min(1.0, a.leaked_norm * inv * inv)
-    return PureState._from_arrays(
-        a.modes, a.occupations, a.amplitudes * inv, a.cutoff, leaked
-    ), n
+def normalize(a: PureState | StateBatch) -> tuple[PureState | StateBatch, float | np.ndarray]:
+    """Rescale to unit norm; returns (normalized state, original norm).
+
+    A batch is normalized state by state and its norms come as an array.
+    """
+    batch = _as_batch(a)
+    n = np.sqrt(batch.norm_sq())
+    zero = n <= EPS_ZERO
+    if zero.any():
+        raise ZeroNormError(f"cannot normalize state with norm {n[zero][0]:.3e}")
+    out = _rescale(batch, n, np.ones(len(n), dtype=bool))
+    if batch is a:
+        return out, n
+    return (a if out is batch else out[0]), float(n[0])
+
+
+def _rescale(batch: StateBatch, n: np.ndarray, rows: np.ndarray) -> StateBatch:
+    """Divide the states where ``rows`` is set by their norms ``n``.
+
+    A state whose norm is within 1e-15 of 1 is left as it is; a rescaled
+    state's ledger is rescaled too, capped at 1.
+    """
+    rows = rows & (np.abs(n - 1.0) >= 1e-15)
+    if not rows.any():
+        return batch
+    inv = 1.0 / np.where(rows, n, 1.0)
+    amp = batch.amplitudes * inv[:, None]
+    leaked = np.minimum(1.0, batch.leaked_norm * inv * inv)
+    if not rows.all():
+        amp = np.where(rows[:, None], amp, batch.amplitudes)
+        leaked = np.where(rows, leaked, batch.leaked_norm)
+    return StateBatch._from_arrays(
+        batch.modes, batch.occupations, amp, batch.cutoff, leaked, batch.support
+    )
