@@ -12,6 +12,7 @@ counts in a single pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,12 +61,13 @@ class HeraldOutcome:
     probability: float | np.ndarray
 
 
-def _detected_indices(state: PureState, modes) -> list[int]:
+def _detected_indices(state: PureState | StateBatch, modes) -> list[int]:
     idx = []
     for mode in modes:
-        if mode not in state.modes:
-            raise ModeMismatchError(f"detected mode {mode} not in state")
-        idx.append(state.index_of(mode))
+        try:
+            idx.append(state.modes.index(mode))
+        except ValueError:
+            raise ModeMismatchError(f"detected mode {mode} not in state") from None
     if len(idx) >= len(state.modes):
         raise ModeMismatchError("detected modes must be a strict subset")
     return idx
@@ -90,21 +92,26 @@ def project(state: PureState | StateBatch, pattern: DetectionPattern) -> HeraldO
     match = (occ[:, idx] == [c for _, c in items]).all(axis=1)
     amp = batch.amplitudes.compress(match, axis=1)
     support = None if batch.support is None else batch.support.compress(match, axis=1)
-    prob = _row_sums(_mag2(amp), support)
-    heralded = prob > EPS_ZERO
-    if not heralded.all():
-        amp = np.where(heralded[:, None], amp, 0)
+    mag2 = _mag2(amp)
+    prob = _row_sums(mag2, support)
+    probs = prob.tolist()
+    heralded = [p > EPS_ZERO for p in probs]
+    if not all(heralded):
+        rows = np.array(heralded)[:, None]
+        amp = np.where(rows, amp, 0)
+        mag2 = np.where(rows, mag2, 0.0)
         if support is None:
             support = np.ones(amp.shape, dtype=bool)
-        support = support & heralded[:, None]
+        support = support & rows
     unnorm = StateBatch._from_arrays(
-        kept_modes, occ[match][:, keep_idx], amp, batch.cutoff, batch.leaked_norm, support
+        kept_modes, occ.compress(match, axis=0)[:, keep_idx], amp, batch.cutoff,
+        batch.leaked_norm, support, mag2,
     )
     # a heralded state's norm is sqrt(prob): unnorm holds the same entries
-    conditional = _rescale(unnorm, np.sqrt(prob), heralded)
+    conditional = _rescale(unnorm, [math.sqrt(p) for p in probs], heralded)
     if batch is state:
         return HeraldOutcome(conditional, prob)
-    return HeraldOutcome(conditional[0], float(prob[0]))
+    return HeraldOutcome(conditional[0], probs[0])
 
 
 def herald_weights(

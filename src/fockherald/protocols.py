@@ -32,9 +32,7 @@ from .states import (
     StateBatch,
     ZeroNormError,
     _as_batch,
-    inner_product,
-    make_basis_state,
-    superpose,
+    _overlaps,
 )
 
 DEFAULT_NLS_CUTOFF = 64      # strong coupling, gamma1 ~ 0.757
@@ -200,8 +198,7 @@ def fidelity(a: PureState | StateBatch, b: PureState) -> float | np.ndarray:
     na, nb = batch.norm_sq().tolist(), b.norm_sq()
     if min(na) <= EPS_ZERO or nb <= EPS_ZERO:
         raise ZeroNormError("fidelity requires nonzero states")
-    overlaps = inner_product(batch, b).tolist()
-    fids = [abs(ip) ** 2 / (n * nb) for ip, n in zip(overlaps, na)]
+    fids = [abs(ip) ** 2 / (n * nb) for ip, n in zip(_overlaps(batch, b), na)]
     return fids[0] if batch is not a else np.array(fids)
 
 
@@ -214,8 +211,10 @@ def fix_global_phase(state: PureState | StateBatch) -> PureState | StateBatch:
     if not len(batch.occupations):
         return state
     amp = batch.amplitudes
-    lead = 0 if batch.support is None else batch.support.argmax(axis=1)
-    refs = amp[np.arange(len(amp)), lead].tolist()
+    if batch.support is None:
+        refs = amp[:, 0].tolist()
+    else:
+        refs = amp[np.arange(len(amp)), batch.support.argmax(axis=1)].tolist()
     phases = np.array([ref / abs(ref) if ref else 1.0 for ref in refs])
     out = StateBatch._from_arrays(
         batch.modes, batch.occupations, amp / phases[:, None],
@@ -291,19 +290,12 @@ def _run_batch(
     target (0 where the herald probability is at most ``EPS_ZERO``).
     """
     cs = (coeffs.c0, coeffs.c1, coeffs.c2)
-    psi = superpose(
-        [(c, make_basis_state(circuit.modes, occ, cutoff))
-         for c, occ in zip(cs, circuit.inputs) if c != 0]
-    )
-    psi = StateBatch.of(psi, len(params))
+    psi = StateBatch.of(_basis_sum(circuit.modes, circuit.inputs, cs, cutoff), len(params))
     for spec, a, b, g in circuit.layers:
         apply = apply_type2_pdc if spec is PdcSpec else apply_two_mode_squeezer
         psi = apply(psi, [spec(a, b, (p.gamma1, p.gamma2)[g]) for p in params])
-    target = superpose(
-        [(-c if i in circuit.negated else c, make_basis_state(circuit.out_modes, occ, cutoff))
-         for i, (c, occ) in enumerate(zip(cs, circuit.targets)) if c != 0]
-    )
-    target = fix_global_phase(target)
+    signed = [-c if i in circuit.negated else c for i, c in enumerate(cs)]
+    target = fix_global_phase(_basis_sum(circuit.out_modes, circuit.targets, signed, cutoff))
 
     outcome = project(psi, DetectionPattern({m: 1 for m in circuit.detected}))
     heralded = outcome.probability > EPS_ZERO
@@ -312,6 +304,29 @@ def _run_batch(
     if heralded.any():
         fid[heralded] = fidelity(out_state.take(heralded), target)
     return psi, target, outcome.probability, out_state, fid
+
+
+def _basis_sum(
+    modes: tuple[ModeLabel, ...],
+    occs: Sequence[tuple[int, ...]],
+    coeffs: Sequence[complex],
+    cutoff: int,
+) -> PureState:
+    """sum_i coeffs[i] |occs[i]>, built by the mapping constructor in one step.
+
+    Bit for bit what ``superpose`` gives over ``make_basis_state`` terms, and
+    the same errors: zero coefficients add no term, each amplitude is the
+    product ``complex(c) * (1 + 0j)``, and terms merge from 0 in input order
+    as ``superpose``'s ``bincount`` adds them, which also turns a -0.0 part
+    into +0.0.
+    """
+    terms: dict[tuple[int, ...], complex] = {}
+    for c, occ in zip(coeffs, occs):
+        if c != 0:
+            terms[occ] = terms.get(occ, 0j) + complex(c) * (1 + 0j)
+    if not terms:
+        raise FockError("superpose requires at least one term")
+    return PureState(modes, terms, cutoff)
 
 
 _M1, _M2, _M3 = ModeLabel(1), ModeLabel(2), ModeLabel(3)
@@ -438,6 +453,32 @@ def _teleport_probability(protocol: str, gamma2: float, cutoff: int | None) -> f
     return runner(coeffs, gamma2, default_cutoff if cutoff is None else cutoff).success_probability
 
 
+def _feasible_limit(lo: float, hi: float) -> float:
+    """Largest gamma2 in [lo, hi] that ``solve_teleport_constraint`` accepts.
+
+    gamma1 grows with gamma2, so the accepted values form an interval; ``lo``
+    must lie in it.  Bisection over floats ends on adjacent floats.
+    """
+    def feasible(g2: float) -> bool:
+        try:
+            solve_teleport_constraint(g2)
+        except FockError:
+            return False
+        return True
+
+    if feasible(hi):
+        return hi
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            mid = math.nextafter(lo, hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def optimize_teleport_success(
     protocol: str,
     gamma2_range: tuple[float, float],
@@ -447,7 +488,10 @@ def optimize_teleport_success(
     """Golden-section maximization of the herald probability over gamma2.
 
     The constraint gamma1 = gamma2/(1-2*gamma2)^2 is applied at every
-    point.  ``tolerance`` is the absolute bracket width on gamma2.
+    point, and the range is first clipped to the couplings it accepts
+    (gamma1 < 1, so gamma2 < 1/4): probes past that boundary would all
+    score 0 and could walk the bracket there.  ``tolerance`` is the
+    absolute bracket width on gamma2.
     """
     if protocol not in _RUNNERS:
         raise FockError(f"unknown teleport protocol {protocol!r}")
@@ -457,6 +501,7 @@ def optimize_teleport_success(
     if cutoff is not None and cutoff < 1:  # every run would fail and score 0
         raise FockError(f"cutoff must be positive, got {cutoff}")
     solve_teleport_constraint(lo)  # gamma1 monotone: lo infeasible => all are
+    hi = _feasible_limit(lo, hi)
     if lo == hi:
         return lo, _teleport_probability(protocol, lo, cutoff)
 

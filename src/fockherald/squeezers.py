@@ -31,7 +31,6 @@ from .states import (
     ModeMismatchError,
     PureState,
     StateBatch,
-    _key_strides,
     _mag2,
     _group_by_key,
     _group_sums,
@@ -89,13 +88,38 @@ def _series(scale: np.ndarray, a: np.ndarray, b: np.ndarray, sign: int, length: 
     out = np.empty((len(scale), len(a), length))
     out[:, :, 0] = 1.0
     np.multiply(roots, (scale[:, None] / t)[:, None, :], out=out[:, :, 1:])
-    return np.cumprod(out, axis=2, out=out)
+    return out.cumprod(axis=2, out=out)
 
 
 def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of every entry of rows ``lengths`` long, row by row."""
     row = np.arange(len(lengths)).repeat(lengths)
     return row, np.arange(len(row)) - (lengths.cumsum() - lengths).repeat(lengths)
+
+
+def _line_weights(n_modes: int, cutoff: int, ia: int, ib: int) -> np.ndarray:
+    """Weights w with ``w @ occupations.T`` = (line key, head) of every row.
+
+    With lo < hi the columns of the squeezed pair, the key of a row orders
+    (columns before lo, n_lo, columns between, n_hi, columns after).  The
+    head is the number formed by the columns up to lo, n_lo last; the line
+    key orders (columns before lo, columns between, n_hi - n_lo, columns
+    after), which is the same for every row of a squeezer line and differs
+    between lines.  Rows with the same head are in key order exactly when
+    their line keys are, so a stable sort by head of rows listed in
+    line-key order sorts them by key.  Both fit in int64 wherever the row
+    keys do.
+    """
+    lo, hi = sorted((ia, ib))
+    base = cutoff + 1
+    low = base ** (n_modes - 1 - hi)  # weight of n_hi - n_lo
+    wide = (2 * cutoff + 1) * low
+    line = [base ** (hi - 2 - c) * wide if c < lo
+            else base ** (hi - 1 - c) * wide if c < hi
+            else base ** (n_modes - 1 - c) for c in range(n_modes)]
+    line[lo], line[hi] = -low, low
+    head = [base ** (lo - c) if c <= lo else 0 for c in range(n_modes)]
+    return np.array([line, head], dtype=np.int64)
 
 
 def apply_two_mode_squeezer(
@@ -126,13 +150,13 @@ def _squeeze(batch: StateBatch, specs: Sequence[SqueezerSpec]) -> StateBatch:
     ib = batch.index_of(pair_modes[1])
     cutoff = batch.cutoff
     gammas = [sp.gamma for sp in specs]
-    s = np.array([math.sqrt(g) for g in gammas])
+    s = np.sqrt(gammas)
     # diagonal factor (1-g)^(t/2), tabulated with the same math.exp the
-    # term-by-term reference loop calls
-    decay = np.array([
-        [math.exp(0.5 * t * log1mg) for t in range(2 * cutoff + 2)]
-        for log1mg in (math.log1p(-g) if g > 0.0 else 0.0 for g in gammas)
-    ])
+    # term-by-term reference loop calls on the same products
+    logs = np.array([math.log1p(-g) if g > 0.0 else 0.0 for g in gammas])
+    half_t = 0.5 * np.arange(2 * cutoff + 2)
+    decay = np.fromiter(map(math.exp, (logs[:, None] * half_t).ravel().tolist()), float)
+    decay = decay.reshape(len(gammas), -1)
     occ, amp = batch.occupations, batch.amplitudes
     m, n = occ[:, ia], occ[:, ib]
 
@@ -141,34 +165,41 @@ def _squeeze(batch: StateBatch, specs: Sequence[SqueezerSpec]) -> StateBatch:
     term, k = _ragged(min_mn + 1)
     width = int(min_mn.max(initial=0)) + 1
     low = _series(-s, m + 1, n + 1, -1, width).reshape(len(s), -1).take(term * width + k, axis=1)
-    mp, np_ = m[term] - k, n[term] - k
+    mp, np_ = m.take(term) - k, n.take(term) - k
     base = amp.take(term, axis=1) * low * decay.take(mp + np_ + 1, axis=1)
 
-    # raising exp(s a†b†): row r = (term, k) feeds j = 0..cutoff - max(mp, np_)
+    # raising exp(s a†b†): row r = (term, k) feeds j = 0..cutoff - max(mp, np_).
+    # A row's series depends only on its (mp, np_), which few rows differ in,
+    # so it is computed once per distinct pair.
     cap = cutoff - np.maximum(mp, np_)
     row, j = _ragged(cap + 1)
     width = int(cap.max(initial=0)) + 1
+    first, pair_of = _group_by_key(mp * (cutoff + 1) + np_)
+    raising = _series(s, mp.take(first), np_.take(first), 1, width).reshape(len(s), -1)
     values = base.take(row, axis=1)
-    values *= _series(s, mp, np_, 1, width).reshape(len(s), -1).take(row * width + j, axis=1)
+    values *= raising.take(pair_of.take(row) * width + j, axis=1)
 
     # output (mp + j, np_ + j) lies on its input term's line (fixed
     # spectators and n_a - n_b) at distance min(mp, np_) + j from the line's
     # base, the term lowered min(m, n) times.  Every term of a line reaches
     # all cutoff + 1 - |m - n| outputs of that line, so the outputs are
-    # numbered line by line, and sorted by key once summed.
-    strides = _key_strides(len(batch.modes), cutoff)
-    pair = strides[ia] + strides[ib]
-    line_keys = occ @ strides - min_mn * pair
-    rep, line_of = _group_by_key(line_keys)
-    length = cutoff + 1 - np.abs(m - n)[rep]
+    # numbered line by line, in the order of ``_line_weights``, and one
+    # stable sort by each output's head puts them in key order.
+    line_key, head = _line_weights(len(batch.modes), cutoff, ia, ib) @ occ.T
+    rep, line_of = _group_by_key(line_key)
+    length = cutoff + 1 - np.abs(m - n).take(rep)
     start = length.cumsum() - length
-    group = (start[line_of[term]] + min_mn[term] - k)[row] + j
+    group = ((start.take(line_of) + min_mn).take(term) - k).take(row) + j
     out_line, pos = _ragged(length)
-    order = np.argsort(line_keys[rep[out_line]] + pos * pair, kind="stable")
-    out_line, pos = out_line[order], pos[order]
+    src = rep.take(out_line)  # the input term at the base of each output's line
+    head = (head - min_mn).take(src) + pos
+    # a head is below (cutoff + 1) ** (min(ia, ib) + 1); on 16 bits numpy sorts by radix
+    head = head.astype(np.min_scalar_type((cutoff + 1) ** (min(ia, ib) + 1)))
+    order = head.argsort(kind="stable")
+    src, pos = src.take(order), pos.take(order)
     out_amp = _group_sums(group, values, len(order)).take(order, axis=1)
-    out_occ = occ[rep[out_line]]
-    shift = pos - min_mn[rep[out_line]]
+    out_occ = occ.take(src, axis=0)
+    shift = pos - min_mn.take(src)
     out_occ[:, ia] += shift
     out_occ[:, ib] += shift
 
@@ -177,11 +208,12 @@ def _squeeze(batch: StateBatch, specs: Sequence[SqueezerSpec]) -> StateBatch:
     if batch.support is not None:
         flat = (line_of + len(rep) * np.arange(len(batch))[:, None]).ravel()
         on_line = np.bincount(flat, batch.support.ravel(), len(batch) * len(rep)) > 0
-        reach = on_line.reshape(len(batch), len(rep)).take(out_line, axis=1)
+        reach = on_line.reshape(len(batch), len(rep)).take(out_line.take(order), axis=1)
 
-    deficit = batch.norm_sq() - _row_sums(_mag2(out_amp), reach)
+    mag2 = _mag2(out_amp)
+    deficit = batch.norm_sq() - _row_sums(mag2, reach)
     leaked = batch.leaked_norm + np.maximum(0.0, deficit)
-    return StateBatch._from_arrays(batch.modes, out_occ, out_amp, cutoff, leaked, reach)
+    return StateBatch._from_arrays(batch.modes, out_occ, out_amp, cutoff, leaked, reach, mag2)
 
 
 def squeezer_matrix_element(m: int, n: int, mp: int, np_: int, gamma: float) -> complex:

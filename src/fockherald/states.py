@@ -105,7 +105,9 @@ def _check_key_space(n_modes: int, cutoff: int) -> None:
 
 
 def _mag2(amp: np.ndarray) -> np.ndarray:
-    return amp.real * amp.real + amp.imag * amp.imag
+    """re*re + im*im of a complex array whose last axis is contiguous."""
+    sq = np.square(amp.view(np.float64))
+    return np.add(sq[..., ::2], sq[..., 1::2])
 
 
 def _key_strides(n_modes: int, cutoff: int) -> np.ndarray:
@@ -149,13 +151,13 @@ def _group_by_key(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A row's group is the position of its key in that order.
     """
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    order = keys.argsort(kind="stable")
+    sorted_keys = keys.take(order)
     first = np.empty(len(order), dtype=bool)
     first[:1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return order[starts], np.searchsorted(sorted_keys[starts], keys)
+    starts = first.nonzero()[0]
+    return order.take(starts), sorted_keys.take(starts).searchsorted(keys)
 
 
 def _merge_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,11 +179,11 @@ def _row_sums(values: np.ndarray, support: np.ndarray | None) -> np.ndarray:
     ``support=None`` means every entry of every row.
     """
     if support is None:
-        return np.array([row.sum() for row in values], dtype=values.dtype)
+        return np.fromiter(map(np.ndarray.sum, values), values.dtype, len(values))
     flat = values[support]
     ends = np.cumsum(np.count_nonzero(support, axis=1)).tolist()
-    return np.array(
-        [flat[a:b].sum() for a, b in zip([0] + ends[:-1], ends)], dtype=values.dtype
+    return np.fromiter(
+        (flat[a:b].sum() for a, b in zip([0] + ends[:-1], ends)), values.dtype, len(ends)
     )
 
 
@@ -244,7 +246,7 @@ class PureState:
                     )
             amp = complex(amp)
             mag2 = amp.real * amp.real + amp.imag * amp.imag
-            if mag2 < EPS_DROP:
+            if not mag2 >= EPS_DROP:  # as in _from_arrays: a NaN term is leaked too
                 leaked += mag2
             else:
                 kept[occ] = amp
@@ -255,8 +257,12 @@ class PureState:
                   cutoff, leaked)
 
     def _set(self, modes, occupations, amplitudes, cutoff, leaked) -> None:
-        occupations.flags.writeable = False
-        amplitudes.flags.writeable = False
+        occupations.setflags(write=False)
+        amplitudes.setflags(write=False)
+        self._share(modes, occupations, amplitudes, cutoff, leaked)
+
+    def _share(self, modes, occupations, amplitudes, cutoff, leaked) -> None:
+        """``_set`` for arrays that are read-only already."""
         self.modes = modes
         self.occupations = occupations
         self.amplitudes = amplitudes
@@ -349,12 +355,14 @@ class StateBatch:
     @classmethod
     def of(cls, state: PureState, size: int = 1) -> "StateBatch":
         """``size`` copies of ``state``."""
-        amp = state.amplitudes[None]
+        amp = state.amplitudes[None]  # a view of read-only data is read-only
         if size != 1:
             amp = amp.repeat(size, axis=0)
+            amp.setflags(write=False)
+        leaked = np.array([state.leaked_norm] * size)
+        leaked.setflags(write=False)
         batch = cls.__new__(cls)
-        batch._set(state.modes, state.occupations, amp, state.cutoff,
-                   np.full(size, state.leaked_norm), None)
+        batch._share(state.modes, state.occupations, amp, state.cutoff, leaked, None)
         return batch
 
     @classmethod
@@ -366,13 +374,15 @@ class StateBatch:
         cutoff: int,
         leaked_norm: np.ndarray,
         support: np.ndarray | None = None,
+        mag2: np.ndarray | None = None,
     ) -> "StateBatch":
         """Kernel-side constructor: the mapping constructor's checks, vectorised.
 
         ``modes`` must be canonical and valid, and the rows of
-        ``occupations`` unique and in lexicographic order; the kernels
-        guarantee both.  ``support`` marks the entries that are terms of
-        each state (None: all of them); entries outside it must be zero.
+        ``occupations`` (int64) unique and in lexicographic order; the
+        kernels guarantee both.  ``support`` marks the entries that are
+        terms of each state (None: all of them); entries outside it must be
+        zero.  ``mag2`` is ``_mag2(amplitudes)`` if the caller has it.
         Occupations are checked against 0 and the cutoff, and terms with
         ``|amp|**2 < EPS_DROP`` move to their state's ``leaked_norm``.
         """
@@ -383,20 +393,22 @@ class StateBatch:
                 f"occupation matrix of shape {occupations.shape} does not match"
                 f" {amplitudes.shape[-1]} amplitudes on {len(modes)} modes"
             )
-        if occupations.min(initial=0) < 0:
-            raise FockError("negative occupation")
-        if occupations.max(initial=0) > cutoff:
+        # one pass for both bounds: a negative occupation reads as a huge unsigned one
+        if occupations.size and occupations.view(np.uint64).max() > cutoff:
+            if occupations.min() < 0:
+                raise FockError("negative occupation")
             raise CutoffExceededError(f"occupation exceeds cutoff {cutoff}")
-        mag2 = _mag2(amplitudes)
-        keep = mag2 >= EPS_DROP
+        if mag2 is None:
+            mag2 = _mag2(amplitudes)
         leaked = np.asarray(leaked_norm, dtype=float)
-        if keep.all():
+        if not mag2.size or mag2.min() >= EPS_DROP:  # false on NaN, as keep is
             support = None
         else:
+            keep = mag2 >= EPS_DROP
             leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
             rows = keep.any(axis=0)
             if not rows.all():
-                occupations = occupations[rows]
+                occupations = occupations.compress(rows, axis=0)
                 amplitudes, keep = amplitudes.compress(rows, axis=1), keep.compress(rows, axis=1)
             support = None if keep.all() else keep
             if support is not None:
@@ -406,8 +418,13 @@ class StateBatch:
         return batch
 
     def _set(self, modes, occupations, amplitudes, cutoff, leaked, support) -> None:
-        for arr in (occupations, amplitudes, leaked):
-            arr.flags.writeable = False
+        occupations.setflags(write=False)
+        amplitudes.setflags(write=False)
+        leaked.setflags(write=False)
+        self._share(modes, occupations, amplitudes, cutoff, leaked, support)
+
+    def _share(self, modes, occupations, amplitudes, cutoff, leaked, support) -> None:
+        """``_set`` for arrays that are read-only already."""
         self.modes = modes
         self.occupations = occupations
         self.amplitudes = amplitudes
@@ -422,10 +439,13 @@ class StateBatch:
     def __getitem__(self, b: int) -> PureState:
         """State ``b`` of the batch."""
         occ, amp = self.occupations, self.amplitudes[b]
-        if self.support is not None:
-            occ, amp = occ[self.support[b]], amp[self.support[b]]
         state = PureState.__new__(PureState)
-        state._set(self.modes, occ, amp, self.cutoff, float(self.leaked_norm[b]))
+        if self.support is None:  # views of read-only arrays
+            state._share(self.modes, occ, amp, self.cutoff, float(self.leaked_norm[b]))
+        else:
+            on = self.support[b]
+            state._set(self.modes, occ.compress(on, axis=0), amp.compress(on), self.cutoff,
+                       float(self.leaked_norm[b]))
         return state
 
     def take(self, rows: np.ndarray) -> "StateBatch":
@@ -515,28 +535,34 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 def inner_product(a: PureState | StateBatch, b: PureState) -> complex | np.ndarray:
     """<a|b>, conjugate-linear in the first argument; one per state of a batch ``a``."""
-    batch = _as_batch(a)
+    sums = _overlaps(_as_batch(a), b)
+    return np.array(sums) if isinstance(a, StateBatch) else sums[0]
+
+
+def _overlaps(batch: StateBatch, b: PureState) -> list[complex]:
+    """<a|b> for every state a of ``batch``."""
     if batch.modes != b.modes:
         raise ModeMismatchError("inner_product requires identical mode sets")
     # rows are unique within each state, so a key shared by both appears
     # exactly twice after a stable sort: a's row first, then b's
     strides = _key_strides(len(b.modes), max(batch.cutoff, b.cutoff))
     keys = np.concatenate((batch.occupations @ strides, b.occupations @ strides))
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    shared = sorted_keys[1:] == sorted_keys[:-1]
-    rows_a = order[:-1][shared]
-    rows_b = order[1:][shared] - len(batch.occupations)
+    order = keys.argsort(kind="stable")
+    sorted_keys = keys.take(order)
+    shared = (sorted_keys[1:] == sorted_keys[:-1]).nonzero()[0]
+    rows_a = order.take(shared)
+    rows_b = order.take(shared + 1) - len(batch.occupations)
     # state by state over 1-d arrays of its shared terms: numpy's complex
     # product rounds differently on other array shapes
+    if batch.support is None:
+        amp_b = b.amplitudes.take(rows_b)
+        return [complex((amp.take(rows_a).conj() * amp_b).sum()) for amp in batch.amplitudes]
     sums = []
-    for r, amp in enumerate(batch.amplitudes):
-        ra, rb = rows_a, rows_b
-        if batch.support is not None:
-            on = batch.support[r, rows_a]
-            ra, rb = rows_a[on], rows_b[on]
-        sums.append(complex((amp[ra].conj() * b.amplitudes[rb]).sum()))
-    return sums[0] if batch is not a else np.array(sums)
+    for amp, support in zip(batch.amplitudes, batch.support):
+        on = support.take(rows_a)
+        ra, rb = rows_a[on], rows_b[on]
+        sums.append(complex((amp.take(ra).conj() * b.amplitudes.take(rb)).sum()))
+    return sums
 
 
 def normalize(a: PureState | StateBatch) -> tuple[PureState | StateBatch, float | np.ndarray]:
@@ -545,29 +571,33 @@ def normalize(a: PureState | StateBatch) -> tuple[PureState | StateBatch, float 
     A batch is normalized state by state and its norms come as an array.
     """
     batch = _as_batch(a)
-    n = np.sqrt(batch.norm_sq())
-    zero = n <= EPS_ZERO
-    if zero.any():
-        raise ZeroNormError(f"cannot normalize state with norm {n[zero][0]:.3e}")
-    out = _rescale(batch, n, np.ones(len(n), dtype=bool))
+    norms = [math.sqrt(x) for x in batch.norm_sq().tolist()]
+    for n in norms:
+        if n <= EPS_ZERO:
+            raise ZeroNormError(f"cannot normalize state with norm {n:.3e}")
+    out = _rescale(batch, norms)
     if batch is a:
-        return out, n
-    return (a if out is batch else out[0]), float(n[0])
+        return out, np.array(norms)
+    return (a if out is batch else out[0]), norms[0]
 
 
-def _rescale(batch: StateBatch, n: np.ndarray, rows: np.ndarray) -> StateBatch:
-    """Divide the states where ``rows`` is set by their norms ``n``.
+def _rescale(batch: StateBatch, norms: list[float], rows: list[bool] | None = None) -> StateBatch:
+    """Divide the states where ``rows`` is set (all if None) by their ``norms``.
 
     A state whose norm is within 1e-15 of 1 is left as it is; a rescaled
-    state's ledger is rescaled too, capped at 1.
+    state's ledger is rescaled too, capped at 1.  Rescaled norms must be
+    positive.
     """
-    rows = rows & (np.abs(n - 1.0) >= 1e-15)
-    if not rows.any():
+    scaled = [abs(n - 1.0) >= 1e-15 for n in norms]
+    if rows is not None:
+        scaled = [r and s for r, s in zip(rows, scaled)]
+    if not any(scaled):
         return batch
-    inv = 1.0 / np.where(rows, n, 1.0)
+    inv = np.array([1.0 / n if s else 1.0 for n, s in zip(norms, scaled)])
     amp = batch.amplitudes * inv[:, None]
     leaked = np.minimum(1.0, batch.leaked_norm * inv * inv)
-    if not rows.all():
+    if not all(scaled):
+        rows = np.array(scaled)
         amp = np.where(rows[:, None], amp, batch.amplitudes)
         leaked = np.where(rows, leaked, batch.leaked_norm)
     return StateBatch._from_arrays(

@@ -6,6 +6,7 @@ from bruteforce import herald_weights_scalar
 
 from fockherald import (
     DetectionPattern,
+    FockError,
     GateParams,
     InputCoefficients,
     ModeLabel,
@@ -76,6 +77,19 @@ def test_project_zero_probability_is_a_value():
     out = project(st_, DetectionPattern({M1: 0}))
     assert out.probability == 0.0
     assert out.conditional_state.terms == {}
+
+
+def test_project_pattern_at_the_cutoff():
+    # a count equal to the cutoff conditions normally; one more is rejected
+    tmsv = apply_two_mode_squeezer(vacuum_state((M1, M2), 4), SqueezerSpec(M1, M2, 0.3))
+    out = project(tmsv, DetectionPattern({M1: 4}))
+    assert out.conditional_state.modes == (M2,)
+    assert list(out.conditional_state.terms) == [(4,)]
+    assert out.conditional_state.amplitude((4,)) == pytest.approx(1.0, abs=1e-15)
+    assert out.probability == pytest.approx(abs(tmsv.amplitude((4, 4))) ** 2, rel=1e-15)
+    assert out.probability > 0.0
+    with pytest.raises(FockError, match=r"pattern count 5 on 1 exceeds cutoff"):
+        project(tmsv, DetectionPattern({M1: 5}))
 
 
 def test_project_unknown_mode():

@@ -23,7 +23,14 @@ from fockherald import (
     superpose,
     sweep,
 )
-from fockherald.protocols import NLS, QUBIT_TELEPORT, QUTRIT_TELEPORT, run_circuit
+from fockherald.protocols import (
+    NLS,
+    QUBIT_TELEPORT,
+    QUTRIT_TELEPORT,
+    _basis_sum,
+    fix_global_phase,
+    run_circuit,
+)
 
 G2_CLOSED = (3 - math.sqrt(2)) / 7
 G1_CLOSED = (21 - 7 * math.sqrt(2)) / (9 + 4 * math.sqrt(2))
@@ -273,6 +280,14 @@ def test_optimizer_invalid_range():
         optimize_teleport_success("teleport-qubit", (0.0, 0.1))
 
 
+def test_optimizer_clips_range_to_feasible_couplings():
+    # both first probes of (0.2, 0.4) need gamma1 >= 1; the bracket must not
+    # walk there, since gamma2 = 0.2 itself succeeds with 0.0711
+    g2_star, p_star = optimize_teleport_success("teleport-qubit", (0.2, 0.4))
+    assert g2_star < 0.25
+    assert p_star >= 0.0711
+
+
 def test_optimizer_rejects_cutoff_zero():
     with pytest.raises(FockError, match="cutoff"):
         optimize_teleport_success("teleport-qubit", (0.02, 0.2), cutoff=0)
@@ -366,3 +381,62 @@ def test_input_coefficients_renormalized_with_warning():
     with pytest.warns(UserWarning):
         res = run_qubit_teleport(InputCoefficients(3, 4), 0.1)
     assert res.fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+# -- one-step circuit inputs and targets ---------------------------------------
+
+_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -0.6, 1e-9, -1e-300, math.nan]),
+    st.floats(min_value=-2, max_value=2, allow_nan=False),
+)
+_COEFF = st.one_of(st.sampled_from([0, 0j, -0.0]), st.builds(complex, _PART, _PART))
+
+
+def _superposed(modes, occs, coeffs, cutoff):
+    # the reference: one basis state per nonzero coefficient, merged by superpose
+    return superpose(
+        [(c, make_basis_state(modes, occ, cutoff)) for c, occ in zip(coeffs, occs) if c != 0]
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_bits(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.modes == want.modes and got.cutoff == want.cutoff
+    assert repr(got.leaked_norm) == repr(want.leaked_norm)
+    assert got.occupations.shape == want.occupations.shape
+    assert got.occupations.tobytes() == want.occupations.tobytes()
+    assert got.amplitudes.view(float).tobytes() == want.amplitudes.view(float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([NLS, QUBIT_TELEPORT, QUTRIT_TELEPORT]),
+    st.tuples(_COEFF, _COEFF, _COEFF),
+    st.integers(0, 3),
+)
+def test_circuit_input_and_target_built_in_one_step(circuit, cs, cutoff):
+    # bit for bit (signed zeros included; a NaN term goes to the ledger)
+    # and error for error what superpose over basis states gives
+    signed = [-c if i in circuit.negated else c for i, c in enumerate(cs)]
+    want_in = _outcome(_superposed, circuit.modes, circuit.inputs, cs, cutoff)
+    want_target = _outcome(_superposed, circuit.out_modes, circuit.targets, signed, cutoff)
+    _assert_same_bits(_outcome(_basis_sum, circuit.modes, circuit.inputs, cs, cutoff), want_in)
+    _assert_same_bits(
+        _outcome(_basis_sum, circuit.out_modes, circuit.targets, signed, cutoff), want_target
+    )
+    # and the run starts from them: it fails as the input does, or ends on
+    # that target with its phase fixed
+    run = _outcome(run_circuit, circuit, InputCoefficients(*cs), GateParams(0.3, 0.1), cutoff)
+    if isinstance(want_in, tuple):
+        assert run == want_in
+    elif not isinstance(run, tuple):
+        _assert_same_bits(run.target_state, fix_global_phase(want_target))
