@@ -24,7 +24,6 @@ from .states import (
     ModeMismatchError,
     PureState,
     StateBatch,
-    _as_batch,
     _key_strides,
     _mag2,
     _merge_by_key,
@@ -54,14 +53,15 @@ class HeraldOutcome:
     """Normalized conditional state plus the herald probability.
 
     Projecting a ``StateBatch`` gives a batch of conditional states and an
-    array of probabilities, one per state.
+    array of probabilities, one per state; a ``PureState`` gives a state
+    and a float.
     """
 
-    conditional_state: PureState | StateBatch
+    conditional_state: StateBatch
     probability: float | np.ndarray
 
 
-def _detected_indices(state: PureState | StateBatch, modes) -> list[int]:
+def _detected_indices(state: StateBatch, modes) -> list[int]:
     idx = []
     for mode in modes:
         try:
@@ -73,28 +73,26 @@ def _detected_indices(state: PureState | StateBatch, modes) -> list[int]:
     return idx
 
 
-def project(state: PureState | StateBatch, pattern: DetectionPattern) -> HeraldOutcome:
+def project(state: StateBatch, pattern: DetectionPattern) -> HeraldOutcome:
     """Condition on the pattern; zero-probability heralds are a value.
 
     A state whose herald probability is at most ``EPS_ZERO`` conditions to
     the empty state with its ledger unchanged.
     """
-    batch = _as_batch(state)
     items = pattern.sorted_items()
-    idx = _detected_indices(batch, [m for m, _ in items])
+    idx = _detected_indices(state, [m for m, _ in items])
     for (mode, count) in items:
-        if count > batch.cutoff:
+        if count > state.cutoff:
             raise FockError(f"pattern count {count} on {mode} exceeds cutoff")
-    keep_idx = [i for i in range(len(batch.modes)) if i not in idx]
-    kept_modes = [batch.modes[i] for i in keep_idx]
+    keep_idx = [i for i in range(len(state.modes)) if i not in idx]
+    kept_modes = [state.modes[i] for i in keep_idx]
 
-    occ = batch.occupations
+    occ = state.occupations
     match = (occ[:, idx] == [c for _, c in items]).all(axis=1)
-    amp = batch.amplitudes.compress(match, axis=1)
-    support = None if batch.support is None else batch.support.compress(match, axis=1)
+    amp = state._amps.compress(match, axis=1)
+    support = None if state.support is None else state.support.compress(match, axis=1)
     mag2 = _mag2(amp)
-    prob = _row_sums(mag2, support)
-    probs = prob.tolist()
+    probs = _row_sums(mag2, support).tolist()
     heralded = [p > EPS_ZERO for p in probs]
     if not all(heralded):
         rows = np.array(heralded)[:, None]
@@ -103,15 +101,13 @@ def project(state: PureState | StateBatch, pattern: DetectionPattern) -> HeraldO
         if support is None:
             support = np.ones(amp.shape, dtype=bool)
         support = support & rows
-    unnorm = StateBatch._from_arrays(
-        kept_modes, occ.compress(match, axis=0)[:, keep_idx], amp, batch.cutoff,
-        batch.leaked_norm, support, mag2,
+    unnorm = type(state)._from_arrays(
+        kept_modes, occ.compress(match, axis=0)[:, keep_idx], amp, state.cutoff,
+        state._ledger, support, mag2,
     )
     # a heralded state's norm is sqrt(prob): unnorm holds the same entries
     conditional = _rescale(unnorm, [math.sqrt(p) for p in probs], heralded)
-    if batch is state:
-        return HeraldOutcome(conditional, prob)
-    return HeraldOutcome(conditional[0], probs[0])
+    return HeraldOutcome(conditional, state._per_state(probs))
 
 
 def herald_weights(

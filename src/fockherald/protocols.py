@@ -31,7 +31,6 @@ from .states import (
     PureState,
     StateBatch,
     ZeroNormError,
-    _as_batch,
     _overlaps,
 )
 
@@ -189,38 +188,34 @@ def solve_teleport_constraint(gamma2: float) -> float:
 # -- fidelity and phase fixing ----------------------------------------------
 
 
-def fidelity(a: PureState | StateBatch, b: PureState) -> float | np.ndarray:
+def fidelity(a: StateBatch, b: PureState) -> float | np.ndarray:
     """|<a|b>|^2 / (<a|a><b|b>); insensitive to global phases.
 
     A batch ``a`` gives one fidelity per state.
     """
-    batch = _as_batch(a)
-    na, nb = batch.norm_sq().tolist(), b.norm_sq()
+    na, nb = a._norms_sq().tolist(), b.norm_sq()
     if min(na) <= EPS_ZERO or nb <= EPS_ZERO:
         raise ZeroNormError("fidelity requires nonzero states")
-    fids = [abs(ip) ** 2 / (n * nb) for ip, n in zip(_overlaps(batch, b), na)]
-    return fids[0] if batch is not a else np.array(fids)
+    return a._per_state([abs(ip) ** 2 / (n * nb) for ip, n in zip(_overlaps(a, b), na)])
 
 
-def fix_global_phase(state: PureState | StateBatch) -> PureState | StateBatch:
+def fix_global_phase(state: StateBatch) -> StateBatch:
     """Rotate so the lowest-occupation nonzero amplitude is real positive.
 
     A batch is rotated state by state; an empty state stays as it is.
     """
-    batch = _as_batch(state)
-    if not len(batch.occupations):
+    if not len(state.occupations):
         return state
-    amp = batch.amplitudes
-    if batch.support is None:
+    amp = state._amps
+    if state.support is None:
         refs = amp[:, 0].tolist()
     else:
-        refs = amp[np.arange(len(amp)), batch.support.argmax(axis=1)].tolist()
+        refs = amp[np.arange(len(amp)), state.support.argmax(axis=1)].tolist()
     phases = np.array([ref / abs(ref) if ref else 1.0 for ref in refs])
-    out = StateBatch._from_arrays(
-        batch.modes, batch.occupations, amp / phases[:, None],
-        batch.cutoff, batch.leaked_norm, batch.support,
+    return type(state)._from_arrays(
+        state.modes, state.occupations, amp / phases[:, None],
+        state.cutoff, state._ledger, state.support,
     )
-    return out if batch is state else out[0]
 
 
 # -- circuits ----------------------------------------------------------------

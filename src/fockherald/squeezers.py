@@ -123,32 +123,28 @@ def _line_weights(n_modes: int, cutoff: int, ia: int, ib: int) -> np.ndarray:
 
 
 def apply_two_mode_squeezer(
-    state: PureState | StateBatch, spec: SqueezerSpec | Sequence[SqueezerSpec]
-) -> PureState | StateBatch:
+    state: StateBatch, spec: SqueezerSpec | Sequence[SqueezerSpec]
+) -> StateBatch:
     """Apply exp(s a†b†) (1-g)^((n_a+n_b+1)/2) exp(-s ab), s = sqrt(g).
 
     Photon-number difference on the mode pair is preserved term by term.
     Amplitude raised past the cutoff is added to leaked_norm exactly
     (the operator is unitary, so the lost weight is the norm deficit).
-    A ``StateBatch`` takes one spec per state, all on the same two modes.
+    ``spec`` is one spec or a sequence of one spec per state, all on the
+    same two modes; the result is of the kind of ``state``.
     """
-    if isinstance(state, PureState):
-        return _squeeze(StateBatch.of(state), (spec,))[0]
-    return _squeeze(state, spec)
-
-
-def _squeeze(batch: StateBatch, specs: Sequence[SqueezerSpec]) -> StateBatch:
     # the term structure (lowering and raising rows, output lines, summation
     # order) depends only on the occupations and is built once; only the
     # values are computed per state
-    if len(specs) != len(batch):
-        raise FockError(f"{len(specs)} squeezer specs for {len(batch)} states")
+    specs = (spec,) if isinstance(spec, SqueezerSpec) else spec
+    if len(specs) != len(state):
+        raise FockError(f"{len(specs)} squeezer specs for {len(state)} states")
     pair_modes = (specs[0].mode_a, specs[0].mode_b)
     if any((sp.mode_a, sp.mode_b) != pair_modes for sp in specs):
         raise ModeMismatchError("a batch of squeezers must act on one pair of modes")
-    ia = batch.index_of(pair_modes[0])
-    ib = batch.index_of(pair_modes[1])
-    cutoff = batch.cutoff
+    ia = state.index_of(pair_modes[0])
+    ib = state.index_of(pair_modes[1])
+    cutoff = state.cutoff
     gammas = [sp.gamma for sp in specs]
     s = np.sqrt(gammas)
     # diagonal factor (1-g)^(t/2), tabulated with the same math.exp the
@@ -157,7 +153,7 @@ def _squeeze(batch: StateBatch, specs: Sequence[SqueezerSpec]) -> StateBatch:
     half_t = 0.5 * np.arange(2 * cutoff + 2)
     decay = np.fromiter(map(math.exp, (logs[:, None] * half_t).ravel().tolist()), float)
     decay = decay.reshape(len(gammas), -1)
-    occ, amp = batch.occupations, batch.amplitudes
+    occ, amp = state.occupations, state._amps
     m, n = occ[:, ia], occ[:, ib]
 
     # lowering exp(-s ab): term i at order k = 0..min(m, n), one row per term
@@ -185,7 +181,7 @@ def _squeeze(batch: StateBatch, specs: Sequence[SqueezerSpec]) -> StateBatch:
     # all cutoff + 1 - |m - n| outputs of that line, so the outputs are
     # numbered line by line, in the order of ``_line_weights``, and one
     # stable sort by each output's head puts them in key order.
-    line_key, head = _line_weights(len(batch.modes), cutoff, ia, ib) @ occ.T
+    line_key, head = _line_weights(len(state.modes), cutoff, ia, ib) @ occ.T
     rep, line_of = _group_by_key(line_key)
     length = cutoff + 1 - np.abs(m - n).take(rep)
     start = length.cumsum() - length
@@ -205,15 +201,15 @@ def _squeeze(batch: StateBatch, specs: Sequence[SqueezerSpec]) -> StateBatch:
 
     # a state's outputs are the lines its own terms lie on
     reach = None
-    if batch.support is not None:
-        flat = (line_of + len(rep) * np.arange(len(batch))[:, None]).ravel()
-        on_line = np.bincount(flat, batch.support.ravel(), len(batch) * len(rep)) > 0
-        reach = on_line.reshape(len(batch), len(rep)).take(out_line.take(order), axis=1)
+    if state.support is not None:
+        flat = (line_of + len(rep) * np.arange(len(state))[:, None]).ravel()
+        on_line = np.bincount(flat, state.support.ravel(), len(state) * len(rep)) > 0
+        reach = on_line.reshape(len(state), len(rep)).take(out_line.take(order), axis=1)
 
     mag2 = _mag2(out_amp)
-    deficit = batch.norm_sq() - _row_sums(mag2, reach)
-    leaked = batch.leaked_norm + np.maximum(0.0, deficit)
-    return StateBatch._from_arrays(batch.modes, out_occ, out_amp, cutoff, leaked, reach, mag2)
+    deficit = state._norms_sq() - _row_sums(mag2, reach)
+    leaked = state._ledger + np.maximum(0.0, deficit)
+    return type(state)._from_arrays(state.modes, out_occ, out_amp, cutoff, leaked, reach, mag2)
 
 
 def squeezer_matrix_element(m: int, n: int, mp: int, np_: int, gamma: float) -> complex:
@@ -246,14 +242,13 @@ def squeezer_matrix_element(m: int, n: int, mp: int, np_: int, gamma: float) -> 
 
 
 def apply_type2_pdc(
-    state: PureState | StateBatch, spec: PdcSpec | Sequence[PdcSpec]
-) -> PureState | StateBatch:
+    state: StateBatch, spec: PdcSpec | Sequence[PdcSpec]
+) -> StateBatch:
     """Type-II PDC: two commuting squeezers on crossed polarization pairs.
 
-    A ``StateBatch`` takes one spec per state, all on the same two paths.
+    ``spec`` is one spec or one per state, all on the same two paths.
     """
-    batch = isinstance(state, StateBatch)
-    specs = spec if batch else (spec,)
+    specs = (spec,) if isinstance(spec, PdcSpec) else spec
     layers = [
         [SqueezerSpec(ModeLabel(sp.path_a, pol_a), ModeLabel(sp.path_b, pol_b), sp.gamma)
          for sp in specs]
@@ -264,7 +259,7 @@ def apply_type2_pdc(
         if ma not in state.modes or mb not in state.modes:
             raise ModeMismatchError(f"PDC requires polarized modes {ma}, {mb}")
     for layer in layers:
-        state = apply_two_mode_squeezer(state, layer if batch else layer[0])
+        state = apply_two_mode_squeezer(state, layer)
     return state
 
 

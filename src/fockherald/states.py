@@ -1,13 +1,18 @@
 """Sparse pure-state algebra over labeled bosonic modes with a hard cutoff.
 
-A state stores its nonzero terms as two arrays: ``occupations``, an int64
-matrix with one row per term and one column per mode (canonical mode
-order), and ``amplitudes``, the matching complex128 vector.  Rows are
-unique and kept in lexicographic order, so the kernels in ``squeezers``
-and ``heralding`` work on whole arrays and never visit terms one by one.
-``terms`` is a dict view {occupation tuple: complex amplitude}, built on
-first access and cached; states produced inside a circuit never build it
-unless asked.
+One array type holds states.  A ``StateBatch`` is a set of states over one
+shared occupation matrix: ``occupations``, an int64 matrix with one row per
+term and one column per mode (canonical mode order), rows unique and in
+lexicographic order; ``amplitudes``, a complex128 matrix with one row per
+state; and ``leaked_norm``, one ledger per state.  A ``PureState`` is the
+batch of one row.  It adds only single-state views (``amplitudes`` as a
+vector, ``leaked_norm`` as a float, ``terms`` as a dict {occupation tuple:
+complex amplitude} built on first access), the mapping constructor and the
+dict/JSON round trip.  The kernels here and in ``squeezers``, ``heralding``
+and ``protocols`` work on whole arrays and never visit terms one by one.
+They take either kind as it is and hand back the caller's kind: states
+through ``type(state)._from_arrays`` and one number per state through
+``state._per_state`` (an array for a batch, a scalar for a state).
 
 Kernels merge duplicate rows by a mixed-radix int64 key,
 ``sum(occ[i] * (cutoff + 1) ** (n_modes - 1 - i))``, whose order is the
@@ -15,14 +20,10 @@ lexicographic order of the rows.  A fixed-width key would wrap and silently
 merge distinct terms, so a state refuses (``FockError``) any mode count and
 cutoff with ``(cutoff + 1) ** n_modes > 2**63 - 1``.
 
-Every mode carries the same per-mode photon-number cutoff; amplitude that
-any operation pushes past the cutoff (or that pruning discards) is
-accumulated in ``leaked_norm`` so the truncation error stays auditable end
-to end.
-
-A ``StateBatch`` holds many states over one shared occupation matrix, one
-amplitude row and one ledger per state.  The kernels are written for
-batches; a ``PureState`` passes through them as a batch of one.
+Every mode carries the same per-mode photon-number cutoff, an integer;
+amplitude that any operation pushes past the cutoff (or that pruning
+discards) is accumulated in ``leaked_norm`` so the truncation error stays
+auditable end to end.
 """
 
 from __future__ import annotations
@@ -96,7 +97,14 @@ def _validate_modes(modes: Sequence[ModeLabel]) -> None:
             )
 
 
-def _check_key_space(n_modes: int, cutoff: int) -> None:
+def _check_cutoff(n_modes: int, cutoff: int) -> None:
+    """A cutoff must be a nonnegative integer, inside the int64 term-key space."""
+    try:
+        operator.index(cutoff)
+    except TypeError:
+        raise FockError(f"cutoff must be an integer, got {cutoff!r}") from None
+    if cutoff < 0:
+        raise FockError(f"cutoff must be nonnegative, got {cutoff}")
     if (cutoff + 1) ** n_modes > KEY_MAX:
         raise FockError(
             f"{n_modes} modes at cutoff {cutoff} exceed the int64 term-key space:"
@@ -115,7 +123,7 @@ def _key_strides(n_modes: int, cutoff: int) -> np.ndarray:
 
     The first column is the most significant digit, so ascending keys are
     lexicographically ascending rows.  Callers stay inside the key space
-    that ``PureState`` enforces for ``cutoff``.
+    that a state enforces for ``cutoff``.
     """
     return np.array([(cutoff + 1) ** e for e in range(n_modes - 1, -1, -1)], dtype=np.int64)
 
@@ -187,27 +195,178 @@ def _row_sums(values: np.ndarray, support: np.ndarray | None) -> np.ndarray:
     )
 
 
-def _mode_index(modes: tuple[ModeLabel, ...], mode: ModeLabel) -> int:
-    try:
-        return modes.index(mode)
-    except ValueError:
-        raise ModeMismatchError(f"mode {mode} not in state modes {modes}")
+def _check_bounds(occupations: np.ndarray, cutoff: int, names: list | None = None) -> None:
+    """Raise for the first row with an occupation outside [0, cutoff].
+
+    The row's first such entry decides: ``FockError`` if it is negative,
+    else ``CutoffExceededError``.  The message names the row as
+    ``names[row]`` if given (the terms as the caller wrote them).
+    """
+    # one pass for both bounds: a negative occupation reads as a huge unsigned one
+    wide = occupations.view(np.uint64)
+    if not occupations.size or wide.max() <= cutoff:
+        return
+    row, col = divmod(int((wide > cutoff).argmax()), occupations.shape[1])
+    occ = tuple(occupations[row].tolist()) if names is None else names[row]
+    if occupations[row, col] < 0:
+        raise FockError(f"negative occupation in {occ}")
+    raise CutoffExceededError(f"occupation {occ} exceeds cutoff {cutoff}")
 
 
-class PureState:
-    """Sparse superposition of occupation-number basis states.
+def _kept(mag2: np.ndarray | float) -> np.ndarray | bool:
+    """Whether terms of squared magnitude ``mag2`` stay; the rest, NaN too, join the ledger."""
+    return mag2 >= EPS_DROP
 
-    ``occupations`` (int64, one row per term) and ``amplitudes``
-    (complex128) hold the terms, rows unique and in lexicographic order;
-    both arrays are read-only.  ``terms`` is the equivalent dict, built on
-    first access.
 
-    Instances are immutable by convention: no method mutates ``self`` and
-    all operations return fresh states, so values can be shared freely
-    between threads.
+class StateBatch:
+    """Rows of states that share modes, cutoff and one occupation matrix.
+
+    ``occupations`` (int64, one row per term, rows unique and in
+    lexicographic order) is shared; ``amplitudes`` is a complex128 matrix
+    with one row per state and one column per term, and ``leaked_norm``
+    holds each state's ledger.  All three are read-only.  A state's terms
+    are its nonzero entries: ``support`` marks them, or is None when every
+    state has every term.  The kernels build the term structure of a batch
+    once and compute only the values row by row, and every sum over a
+    state's terms runs over its support in column order, so row b of a
+    result equals, bit for bit, what the same kernel gives ``batch[b]``
+    alone.
+
+    States are immutable by convention: no method mutates ``self`` and all
+    operations return fresh states, so values can be shared freely between
+    threads.
     """
 
-    __slots__ = ("modes", "occupations", "amplitudes", "cutoff", "leaked_norm", "_terms")
+    __slots__ = ("modes", "occupations", "cutoff", "support", "_amps", "_ledger", "_terms")
+
+    @staticmethod
+    def of(state: "PureState", size: int = 1) -> "StateBatch":
+        """``size`` copies of ``state``."""
+        batch = StateBatch.__new__(StateBatch)
+        batch._set(state.modes, state.occupations, state._amps.repeat(size, axis=0),
+                   state.cutoff, state._ledger.repeat(size), None)
+        return batch
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        modes: Sequence[ModeLabel],
+        occupations: np.ndarray,
+        amplitudes: np.ndarray,
+        cutoff: int,
+        leaked_norm: np.ndarray,
+        support: np.ndarray | None = None,
+        mag2: np.ndarray | None = None,
+    ) -> "StateBatch":
+        """Kernel-side constructor: a state of the kind ``cls`` from its arrays.
+
+        ``modes`` must be canonical and valid, and the rows of
+        ``occupations`` (int64) unique and in lexicographic order; the
+        kernels guarantee both.  ``amplitudes`` has one row per state (one
+        for a ``PureState``).  ``support`` marks the entries that are terms
+        of each state (None: all of them); entries outside it must be zero.
+        ``mag2`` is ``_mag2(amplitudes)`` if the caller has it.  Occupations
+        are checked against 0 and the cutoff, and pruned terms move to their
+        state's ``leaked_norm``, added to it as one sum per state.
+        """
+        modes = tuple(modes)
+        _check_cutoff(len(modes), cutoff)
+        if occupations.shape != (amplitudes.shape[-1], len(modes)):
+            raise ModeMismatchError(
+                f"occupation matrix of shape {occupations.shape} does not match"
+                f" {amplitudes.shape[-1]} amplitudes on {len(modes)} modes"
+            )
+        _check_bounds(occupations, cutoff)
+        if mag2 is None:
+            mag2 = _mag2(amplitudes)
+        leaked = np.asarray(leaked_norm, dtype=float)
+        if not mag2.size or _kept(mag2.min()):  # one reduction: a NaN makes it false
+            support = None
+        else:
+            keep = _kept(mag2)
+            leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
+            rows = keep.any(axis=0)
+            if not rows.all():
+                occupations = occupations.compress(rows, axis=0)
+                amplitudes, keep = amplitudes.compress(rows, axis=1), keep.compress(rows, axis=1)
+            support = None if keep.all() else keep
+            if support is not None:
+                amplitudes = np.where(keep, amplitudes, 0)
+        state = cls.__new__(cls)
+        state._set(modes, occupations, amplitudes, cutoff, leaked, support)
+        return state
+
+    def _set(self, modes, occupations, amplitudes, cutoff, leaked, support) -> None:
+        occupations.setflags(write=False)
+        amplitudes.setflags(write=False)
+        leaked.setflags(write=False)
+        self.modes = modes
+        self.occupations = occupations
+        self._amps = amplitudes
+        self.cutoff = int(cutoff)
+        self._ledger = leaked
+        self.support = support
+        self._terms = None
+
+    amplitudes = property(operator.attrgetter("_amps"), doc="One amplitude row per state.")
+    leaked_norm = property(operator.attrgetter("_ledger"), doc="Every state's ledger.")
+
+    def _per_state(self, values: list):
+        """``values``, one per state, as this kind returns them: an array."""
+        return np.array(values)
+
+    def _norms_sq(self) -> np.ndarray:
+        return _row_sums(_mag2(self._amps), self.support)
+
+    def __len__(self) -> int:
+        return len(self._amps)
+
+    def __getitem__(self, b: int) -> "PureState":
+        """State ``b`` of the batch."""
+        occ, amp = self.occupations, self._amps[b, None]
+        if self.support is not None:
+            on = self.support[b]
+            occ, amp = occ.compress(on, axis=0), amp.compress(on, axis=1)
+        state = PureState.__new__(PureState)
+        state._set(self.modes, occ, amp, self.cutoff, self._ledger[b, None], None)
+        return state
+
+    def take(self, rows: np.ndarray) -> "StateBatch":
+        """The states where the boolean ``rows`` is set."""
+        if rows.all():
+            return self
+        batch = StateBatch.__new__(StateBatch)
+        batch._set(self.modes, self.occupations, self._amps[rows], self.cutoff,
+                   self._ledger[rows], None if self.support is None else self.support[rows])
+        return batch
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], np.ndarray]:
+        """{occupation tuple: that term's amplitude in every state}; do not mutate."""
+        if self._terms is None:
+            self._terms = dict(zip(map(tuple, self.occupations.tolist()), self._amps.T))
+        return self._terms
+
+    def index_of(self, mode: ModeLabel) -> int:
+        try:
+            return self.modes.index(mode)
+        except ValueError:
+            raise ModeMismatchError(f"mode {mode} not in state modes {self.modes}")
+
+    def norm_sq(self):
+        """Squared norm of every state."""
+        return self._per_state(self._norms_sq().tolist())
+
+
+class PureState(StateBatch):
+    """Sparse superposition of occupation-number basis states: a batch of one.
+
+    ``occupations`` and ``amplitudes`` (a complex128 vector) hold the
+    terms, rows unique and in lexicographic order; ``leaked_norm`` is a
+    float.  ``terms`` is the equivalent dict, built on first access.
+    """
+
+    __slots__ = ()
 
     def __init__(
         self,
@@ -223,52 +382,55 @@ class PureState:
             perm = [modes.index(m) for m in order]
             terms = {tuple(occ[p] for p in perm): a for occ, a in terms.items()}
             modes = order
-        if cutoff < 0:
-            raise FockError(f"cutoff must be nonnegative, got {cutoff}")
-        _check_key_space(len(modes), cutoff)
-        kept: dict[tuple[int, ...], complex] = {}
+        _check_cutoff(len(modes), cutoff)
+        # terms are read in insertion order, and a pruned term joins the ledger
+        # then; the first term that cannot be read is reported unless a term
+        # before it is out of bounds
+        occs, kept, error = [], {}, None
         leaked = float(leaked_norm)
-        for occ, amp in terms.items():
-            try:
-                occ = tuple(map(operator.index, occ))
-            except TypeError:
-                raise FockError(f"occupation {occ} is not a tuple of integers") from None
-            if len(occ) != len(modes):
-                raise ModeMismatchError(
-                    f"occupation {occ} has length {len(occ)}, expected {len(modes)}"
-                )
-            for n in occ:
-                if n < 0:
-                    raise FockError(f"negative occupation in {occ}")
-                if n > cutoff:
-                    raise CutoffExceededError(
-                        f"occupation {occ} exceeds cutoff {cutoff}"
+        try:
+            for occ, amp in terms.items():
+                try:
+                    occ = tuple(map(operator.index, occ))
+                except TypeError:
+                    raise FockError(f"occupation {occ} is not a tuple of integers") from None
+                if len(occ) != len(modes):
+                    raise ModeMismatchError(
+                        f"occupation {occ} has length {len(occ)}, expected {len(modes)}"
                     )
-            amp = complex(amp)
-            mag2 = amp.real * amp.real + amp.imag * amp.imag
-            if not mag2 >= EPS_DROP:  # as in _from_arrays: a NaN term is leaked too
-                leaked += mag2
-            else:
-                kept[occ] = amp
-        items = sorted(kept.items())
-        occupations = np.array([occ for occ, _ in items], dtype=np.int64)
-        amplitudes = np.array([amp for _, amp in items], dtype=np.complex128)
-        self._set(modes, occupations.reshape(len(items), len(modes)), amplitudes,
-                  cutoff, leaked)
+                occs.append(occ)
+                amp = complex(amp)
+                mag2 = amp.real * amp.real + amp.imag * amp.imag  # as _mag2
+                if _kept(mag2):
+                    kept[len(occs) - 1] = amp
+                else:
+                    leaked += mag2
+        except (TypeError, ValueError, OverflowError) as exc:
+            error = exc
+        try:
+            occupations = np.array(occs, dtype=np.int64).reshape(len(occs), len(modes))
+        except OverflowError:  # past int64 is past the bounds: keep the side
+            occupations = np.array([[min(max(n, -1), cutoff + 1) for n in occ] for occ in occs])
+        _check_bounds(occupations, cutoff, occs)
+        if error is not None:
+            raise error
+        order = sorted(kept, key=occs.__getitem__)
+        if order != list(range(len(occs))):
+            occupations = occupations.take(order, axis=0)
+        amplitudes = np.array([[kept[i] for i in order]], dtype=np.complex128)
+        self._set(modes, occupations, amplitudes, cutoff, np.array([leaked]), None)
 
-    def _set(self, modes, occupations, amplitudes, cutoff, leaked) -> None:
-        occupations.setflags(write=False)
-        amplitudes.setflags(write=False)
-        self._share(modes, occupations, amplitudes, cutoff, leaked)
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The amplitude of every row of ``occupations``."""
+        return self._amps[0]
 
-    def _share(self, modes, occupations, amplitudes, cutoff, leaked) -> None:
-        """``_set`` for arrays that are read-only already."""
-        self.modes = modes
-        self.occupations = occupations
-        self.amplitudes = amplitudes
-        self.cutoff = int(cutoff)
-        self.leaked_norm = leaked
-        self._terms = None
+    @property
+    def leaked_norm(self) -> float:
+        return self._ledger.item()
+
+    def _per_state(self, values: list):
+        return values[0]
 
     @property
     def terms(self) -> dict[tuple[int, ...], complex]:
@@ -279,14 +441,8 @@ class PureState:
 
     # -- queries ---------------------------------------------------------
 
-    def index_of(self, mode: ModeLabel) -> int:
-        return _mode_index(self.modes, mode)
-
     def amplitude(self, occ: Sequence[int]) -> complex:
         return self.terms.get(tuple(occ), 0j)
-
-    def norm_sq(self) -> float:
-        return float(_mag2(self.amplitudes).sum())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -300,7 +456,7 @@ class PureState:
             f"({a:.4g})|{','.join(map(str, occ))}>"
             for occ, a in self.sorted_terms()[:4]
         ]
-        more = "..." if len(self.amplitudes) > 4 else ""
+        more = "..." if len(self.occupations) > 4 else ""
         return (
             f"PureState[{'+'.join(str(m) for m in self.modes)}; cutoff={self.cutoff}; "
             f"{' + '.join(parts)}{more}]"
@@ -333,147 +489,6 @@ class PureState:
     @classmethod
     def from_json(cls, text: str) -> "PureState":
         return cls.from_dict(json.loads(text))
-
-
-class StateBatch:
-    """Rows of states that share modes, cutoff and one occupation matrix.
-
-    ``amplitudes`` is a complex128 matrix with one row per state and one
-    column per row of ``occupations`` (unique, lexicographic, as in
-    ``PureState``); ``leaked_norm`` holds each state's ledger.  A state's
-    terms are its nonzero entries: ``support`` marks them, or is None when
-    every state has every term.  The kernels build the term structure of a
-    batch once and compute only the values row by row, and every sum over a
-    state's terms runs over its support in column order, so row b of a
-    result equals, bit for bit, what the same kernel gives ``batch[b]``
-    alone.  A ``PureState`` passes through a kernel as a batch of one.
-    """
-
-    __slots__ = ("modes", "occupations", "amplitudes", "cutoff", "leaked_norm",
-                 "support", "_terms")
-
-    @classmethod
-    def of(cls, state: PureState, size: int = 1) -> "StateBatch":
-        """``size`` copies of ``state``."""
-        amp = state.amplitudes[None]  # a view of read-only data is read-only
-        if size != 1:
-            amp = amp.repeat(size, axis=0)
-            amp.setflags(write=False)
-        leaked = np.array([state.leaked_norm] * size)
-        leaked.setflags(write=False)
-        batch = cls.__new__(cls)
-        batch._share(state.modes, state.occupations, amp, state.cutoff, leaked, None)
-        return batch
-
-    @classmethod
-    def _from_arrays(
-        cls,
-        modes: Sequence[ModeLabel],
-        occupations: np.ndarray,
-        amplitudes: np.ndarray,
-        cutoff: int,
-        leaked_norm: np.ndarray,
-        support: np.ndarray | None = None,
-        mag2: np.ndarray | None = None,
-    ) -> "StateBatch":
-        """Kernel-side constructor: the mapping constructor's checks, vectorised.
-
-        ``modes`` must be canonical and valid, and the rows of
-        ``occupations`` (int64) unique and in lexicographic order; the
-        kernels guarantee both.  ``support`` marks the entries that are
-        terms of each state (None: all of them); entries outside it must be
-        zero.  ``mag2`` is ``_mag2(amplitudes)`` if the caller has it.
-        Occupations are checked against 0 and the cutoff, and terms with
-        ``|amp|**2 < EPS_DROP`` move to their state's ``leaked_norm``.
-        """
-        modes = tuple(modes)
-        _check_key_space(len(modes), cutoff)
-        if occupations.shape != (amplitudes.shape[-1], len(modes)):
-            raise ModeMismatchError(
-                f"occupation matrix of shape {occupations.shape} does not match"
-                f" {amplitudes.shape[-1]} amplitudes on {len(modes)} modes"
-            )
-        # one pass for both bounds: a negative occupation reads as a huge unsigned one
-        if occupations.size and occupations.view(np.uint64).max() > cutoff:
-            if occupations.min() < 0:
-                raise FockError("negative occupation")
-            raise CutoffExceededError(f"occupation exceeds cutoff {cutoff}")
-        if mag2 is None:
-            mag2 = _mag2(amplitudes)
-        leaked = np.asarray(leaked_norm, dtype=float)
-        if not mag2.size or mag2.min() >= EPS_DROP:  # false on NaN, as keep is
-            support = None
-        else:
-            keep = mag2 >= EPS_DROP
-            leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
-            rows = keep.any(axis=0)
-            if not rows.all():
-                occupations = occupations.compress(rows, axis=0)
-                amplitudes, keep = amplitudes.compress(rows, axis=1), keep.compress(rows, axis=1)
-            support = None if keep.all() else keep
-            if support is not None:
-                amplitudes = np.where(keep, amplitudes, 0)
-        batch = cls.__new__(cls)
-        batch._set(modes, occupations, amplitudes, cutoff, leaked, support)
-        return batch
-
-    def _set(self, modes, occupations, amplitudes, cutoff, leaked, support) -> None:
-        occupations.setflags(write=False)
-        amplitudes.setflags(write=False)
-        leaked.setflags(write=False)
-        self._share(modes, occupations, amplitudes, cutoff, leaked, support)
-
-    def _share(self, modes, occupations, amplitudes, cutoff, leaked, support) -> None:
-        """``_set`` for arrays that are read-only already."""
-        self.modes = modes
-        self.occupations = occupations
-        self.amplitudes = amplitudes
-        self.cutoff = int(cutoff)
-        self.leaked_norm = leaked
-        self.support = support
-        self._terms = None
-
-    def __len__(self) -> int:
-        return len(self.amplitudes)
-
-    def __getitem__(self, b: int) -> PureState:
-        """State ``b`` of the batch."""
-        occ, amp = self.occupations, self.amplitudes[b]
-        state = PureState.__new__(PureState)
-        if self.support is None:  # views of read-only arrays
-            state._share(self.modes, occ, amp, self.cutoff, float(self.leaked_norm[b]))
-        else:
-            on = self.support[b]
-            state._set(self.modes, occ.compress(on, axis=0), amp.compress(on), self.cutoff,
-                       float(self.leaked_norm[b]))
-        return state
-
-    def take(self, rows: np.ndarray) -> "StateBatch":
-        """The states where the boolean ``rows`` is set."""
-        if rows.all():
-            return self
-        batch = StateBatch.__new__(StateBatch)
-        batch._set(self.modes, self.occupations, self.amplitudes[rows], self.cutoff,
-                   self.leaked_norm[rows], None if self.support is None else self.support[rows])
-        return batch
-
-    @property
-    def terms(self) -> dict[tuple[int, ...], np.ndarray]:
-        """{occupation tuple: that term's amplitude in every state}; do not mutate."""
-        if self._terms is None:
-            self._terms = dict(zip(map(tuple, self.occupations.tolist()), self.amplitudes.T))
-        return self._terms
-
-    def index_of(self, mode: ModeLabel) -> int:
-        return _mode_index(self.modes, mode)
-
-    def norm_sq(self) -> np.ndarray:
-        """Squared norm of every state."""
-        return _row_sums(_mag2(self.amplitudes), self.support)
-
-
-def _as_batch(state: PureState | StateBatch) -> StateBatch:
-    return StateBatch.of(state) if isinstance(state, PureState) else state
 
 
 # -- constructors and algebra ---------------------------------------------
@@ -512,9 +527,9 @@ def superpose(terms: Sequence[tuple[complex, PureState]]) -> PureState:
     occ = np.concatenate([st.occupations for _, st in terms])
     amp = np.concatenate([c * st.amplitudes for c, (_, st) in zip(coeffs, terms)])
     rows, summed = _merge_by_key(occ @ _key_strides(len(first.modes), first.cutoff), amp)
-    return StateBatch._from_arrays(
+    return PureState._from_arrays(
         first.modes, occ[rows], summed[None], first.cutoff, np.array([leaked])
-    )[0]
+    )
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -533,10 +548,9 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(modes, terms, a.cutoff, a.leaked_norm + b.leaked_norm)
 
 
-def inner_product(a: PureState | StateBatch, b: PureState) -> complex | np.ndarray:
+def inner_product(a: StateBatch, b: PureState) -> complex | np.ndarray:
     """<a|b>, conjugate-linear in the first argument; one per state of a batch ``a``."""
-    sums = _overlaps(_as_batch(a), b)
-    return np.array(sums) if isinstance(a, StateBatch) else sums[0]
+    return a._per_state(_overlaps(a, b))
 
 
 def _overlaps(batch: StateBatch, b: PureState) -> list[complex]:
@@ -556,29 +570,25 @@ def _overlaps(batch: StateBatch, b: PureState) -> list[complex]:
     # product rounds differently on other array shapes
     if batch.support is None:
         amp_b = b.amplitudes.take(rows_b)
-        return [complex((amp.take(rows_a).conj() * amp_b).sum()) for amp in batch.amplitudes]
+        return [complex((amp.take(rows_a).conj() * amp_b).sum()) for amp in batch._amps]
     sums = []
-    for amp, support in zip(batch.amplitudes, batch.support):
+    for amp, support in zip(batch._amps, batch.support):
         on = support.take(rows_a)
         ra, rb = rows_a[on], rows_b[on]
         sums.append(complex((amp.take(ra).conj() * b.amplitudes.take(rb)).sum()))
     return sums
 
 
-def normalize(a: PureState | StateBatch) -> tuple[PureState | StateBatch, float | np.ndarray]:
+def normalize(a: StateBatch) -> tuple[StateBatch, float | np.ndarray]:
     """Rescale to unit norm; returns (normalized state, original norm).
 
     A batch is normalized state by state and its norms come as an array.
     """
-    batch = _as_batch(a)
-    norms = [math.sqrt(x) for x in batch.norm_sq().tolist()]
+    norms = [math.sqrt(x) for x in a._norms_sq().tolist()]
     for n in norms:
         if n <= EPS_ZERO:
             raise ZeroNormError(f"cannot normalize state with norm {n:.3e}")
-    out = _rescale(batch, norms)
-    if batch is a:
-        return out, np.array(norms)
-    return (a if out is batch else out[0]), norms[0]
+    return _rescale(a, norms), a._per_state(norms)
 
 
 def _rescale(batch: StateBatch, norms: list[float], rows: list[bool] | None = None) -> StateBatch:
@@ -594,12 +604,12 @@ def _rescale(batch: StateBatch, norms: list[float], rows: list[bool] | None = No
     if not any(scaled):
         return batch
     inv = np.array([1.0 / n if s else 1.0 for n, s in zip(norms, scaled)])
-    amp = batch.amplitudes * inv[:, None]
-    leaked = np.minimum(1.0, batch.leaked_norm * inv * inv)
+    amp = batch._amps * inv[:, None]
+    leaked = np.minimum(1.0, batch._ledger * inv * inv)
     if not all(scaled):
         rows = np.array(scaled)
-        amp = np.where(rows[:, None], amp, batch.amplitudes)
-        leaked = np.where(rows, leaked, batch.leaked_norm)
-    return StateBatch._from_arrays(
+        amp = np.where(rows[:, None], amp, batch._amps)
+        leaked = np.where(rows, leaked, batch._ledger)
+    return type(batch)._from_arrays(
         batch.modes, batch.occupations, amp, batch.cutoff, leaked, batch.support
     )

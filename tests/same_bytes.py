@@ -1,0 +1,319 @@
+"""Same-bytes corpus: one SHA-256 over the library's observable outputs.
+
+Run from the repository root on two checkouts and compare the last line:
+
+    PYTHONPATH=src python tests/same_bytes.py
+
+A refactor that claims to change no output must print the same ``corpus``
+hash as its parent.  The corpus covers the three runners (``to_json``,
+``herald_distribution``, target and output states as signed amplitude
+bytes) over cutoffs 0-64 with zero, signed-zero and NaN coefficients and
+their error messages, ``sweep`` grids, ``optimize_teleport_success``, the CLI
+(``run`` in every format, ``sweep``, ``params``, ``oracle-check``) and seeded
+random kernel cases on single states and on batches.  Each section's hash
+is printed too, so a difference can be located.  Cases whose outcome
+depends on a non-integer cutoff are hashed apart, on the
+``non-integer-cutoff`` line, and are not part of ``corpus``.
+
+The file name does not match ``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import warnings
+
+import numpy as np
+
+from fockherald import (
+    DetectionPattern,
+    InputCoefficients,
+    ModeLabel,
+    PdcSpec,
+    PureState,
+    SqueezerSpec,
+    StateBatch,
+    apply_two_mode_squeezer,
+    apply_type2_pdc,
+    fidelity,
+    fix_global_phase,
+    herald_weights,
+    inner_product,
+    make_basis_state,
+    normalize,
+    optimize_teleport_success,
+    project,
+    run_nls,
+    run_qubit_teleport,
+    run_qutrit_teleport,
+    superpose,
+    sweep,
+    tensor,
+)
+from fockherald.cli import main
+
+NAN = math.nan
+COEFFS = [
+    InputCoefficients(0.6, 0.48, 0.64),
+    InputCoefficients(0.6, 0.8),
+    InputCoefficients(0.6j, -0.8),
+    InputCoefficients(1.0, 0.0),
+    InputCoefficients(0.0, 1.0, 0.0),
+    InputCoefficients(0.0, 0.0, 1.0),
+    InputCoefficients(-0.0, 1.0, -0.0),
+    InputCoefficients(complex(0.6, -0.0), complex(-0.0, 0.8)),
+    InputCoefficients(0.6, 0.8, 0.3),
+    InputCoefficients(3.0, 4.0),
+    InputCoefficients(0.0, 0.0, 0.0),
+    InputCoefficients(NAN, 1.0),
+    InputCoefficients(1.0, complex(0.5, NAN), 0.2),
+]
+
+
+class Section:
+    """A named SHA-256 fed with the reprs and bytes of outcomes."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.hash = hashlib.sha256()
+
+    def add(self, *items) -> None:
+        for item in items:
+            self.hash.update(item if isinstance(item, bytes) else repr(item).encode())
+            self.hash.update(b"\0")
+
+    def state(self, state) -> None:
+        """Modes, cutoff, ledger, rows and signed amplitude bytes of a state or batch."""
+        self.add(type(state).__name__, state.modes, state.cutoff, repr(state.leaked_norm),
+                 state.occupations.shape, state.occupations.tobytes(),
+                 np.ascontiguousarray(state.amplitudes).view(float).tobytes())
+        support = getattr(state, "support", None)
+        self.add(None if support is None else support.tobytes())
+
+    def value(self, x) -> None:
+        """A number or an array of numbers, by its bytes."""
+        self.add(type(x).__name__, np.asarray(x).tobytes(), repr(x))
+
+    def outcome(self, fn, *args, **kwargs):
+        """Run ``fn``; hash its exception, if any, and return its result or None."""
+        try:
+            return fn(*args, **kwargs)
+        except Exception as exc:
+            self.add("raised", type(exc).__name__, str(exc))
+            return None
+
+
+def runners(sec: Section, cutoffs) -> None:
+    calls = [(run_nls, lambda c, k: (c, None, k))]
+    for g2 in (0.01, 0.1, 0.2, 0.3):
+        calls.append((run_qubit_teleport, lambda c, k, g2=g2: (c, g2, k)))
+        calls.append((run_qutrit_teleport, lambda c, k, g2=g2: (c, g2, k)))
+    for runner, args in calls:
+        for coeffs in COEFFS:
+            for cutoff in cutoffs(runner):
+                sec.add(runner.__name__, coeffs, cutoff)
+                res = sec.outcome(runner, *args(coeffs, cutoff))
+                if res is None:
+                    continue
+                sec.add(res.to_json(), res.herald_distribution)
+                sec.state(res.output_state)
+                sec.state(res.target_state)
+                sec.state(res.pre_herald_state)
+                sec.add(repr(res.leaked_norm), repr(res.success_probability),
+                        repr(res.fidelity), repr(res.closed_form_probability))
+
+
+def integer_cutoffs(runner):
+    if runner is run_qutrit_teleport:
+        return [-1, 0, 1, 2, 3, 4, 5, 8]
+    if runner is run_qubit_teleport:
+        return list(range(-1, 17)) + [24, 32, 48, 64]
+    return [-1, 0, 1, 7, 8, 9, 12, 16, 24, 32, 40, 48, 56, 63, 64]
+
+
+def sweeps(sec: Section) -> None:
+    grids = [
+        [0.01, 0.05, 0.1, 0.2, 0.24],
+        list(np.linspace(0.001, 0.26, 70)),
+        [0.0, -0.0, -0.1, 0.5, 0.75, 0.3, 0.05, 0.05],
+    ]
+    for protocol, cutoffs in (("teleport-qubit", (0, 1, 2, 6, 16)),
+                              ("teleport-qutrit", (0, 1, 2, 3, 8))):
+        for grid in grids:
+            for cutoff in (None, *cutoffs):
+                for coeffs in (None, *COEFFS[:4], COEFFS[8], COEFFS[10], COEFFS[11]):
+                    sec.add(protocol, grid, cutoff, coeffs)
+                    sec.add(sec.outcome(sweep, protocol, grid, cutoff, coeffs))
+        for rng, tol, cutoff in (((0.02, 0.24), 1e-4, None), ((0.1, 0.45), 1e-3, 4),
+                                 ((0.2, 0.4), 1e-3, 2), ((0.05, 0.1), 1e-2, 0)):
+            sec.add(protocol, rng, tol, cutoff)
+            sec.add(sec.outcome(optimize_teleport_success, protocol, rng, tol, cutoff))
+
+
+def cli(sec: Section) -> None:
+    argvs = [
+        ["params", "nls"],
+        ["params", "teleport", "--gamma2", "0.1"],
+        ["params", "teleport", "--gamma2", "0.3"],
+        ["params", "teleport"],
+        ["sweep", "teleport-qubit", "--start", "0.01", "--stop", "0.24", "--points", "24"],
+        ["sweep", "teleport-qubit", "--start", "1e-4", "--stop", "0.49", "--points", "9", "--log"],
+        ["sweep", "teleport-qutrit", "--start", "-0.1", "--stop", "0.6", "--points", "7",
+         "--cutoff", "3"],
+        ["sweep", "teleport-qubit", "--start", "0.1", "--stop", "0.2", "--points", "0"],
+        ["oracle-check", "--gamma", "0.3", "--cutoff", "6"],
+        ["oracle-check", "--gamma", "0.757359", "--cutoff", "4", "--theta-terms", "40"],
+        ["oracle-check", "--gamma", "1.5"],
+        ["run", "teleport-qubit", "--gamma2", "0.1", "--gamma1", "0.2"],
+        ["run", "teleport-qutrit", "--c0", "0.6", "--c1", "0.8"],
+        ["run", "nls", "--gamma1", "0.5"],
+    ]
+    for fmt in ("json", "csv", "pretty"):
+        argvs += [
+            ["run", "nls", "--auto-params", "--c0", "0.6", "--c1", "0.48", "--c2", "0.64",
+             "--format", fmt],
+            ["run", "nls", "--gamma1", "0.3", "--gamma2", "0.2", "--c0-re", "0.6",
+             "--c1-im", "0.8", "--cutoff", "8", "--format", fmt],
+            ["run", "teleport-qubit", "--gamma2", "0.1", "--c0", "0.6", "--c1", "0.8",
+             "--format", fmt],
+            ["run", "teleport-qubit", "--gamma2", "0.1", "--c0", "0.6", "--c1", "0.8",
+             "--cutoff", "1", "--format", fmt],
+            ["run", "teleport-qutrit", "--gamma2", "0.2", "--c0", "0.6", "--c1", "0.48",
+             "--c2", "0.64", "--format", fmt],
+            ["run", "teleport-qutrit", "--gamma2", "0.2", "--c0", "0.6", "--c1", "0.8",
+             "--cutoff", "0", "--format", fmt],
+        ]
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = sec.outcome(main, argv)
+        sec.add(argv, code, out.getvalue(), err.getvalue())
+
+
+def random_state(rng, modes, cutoff, n_terms, tiny=False):
+    occs = rng.integers(0, cutoff + 1, size=(n_terms, len(modes))).tolist()
+    amps = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+    if tiny:  # terms near and below the pruning threshold, a NaN and signed zeros
+        amps[::3] *= 1e-8
+        amps[1::5] = complex(-0.0, 0.0)
+        if n_terms > 4:
+            amps[4] = complex(NAN, 0.0)
+    return {tuple(o): complex(a) for o, a in zip(occs, amps)}
+
+
+def kernels(sec: Section, seed: int = 20260) -> None:
+    rng = np.random.default_rng(seed)
+    flat = tuple(ModeLabel(p) for p in range(1, 4))
+    pol = tuple(ModeLabel(p, q) for p in (1, 2, 3) for q in "HV")
+    for case in range(60):
+        cutoff = int(rng.integers(1, 9))
+        n_terms = int(rng.integers(1, 9))
+        terms = random_state(rng, flat, cutoff, n_terms, tiny=case % 3 == 0)
+        leak = float(rng.random()) * 1e-3 if case % 2 else 0.0
+        psi = sec.outcome(PureState, flat[::-1] if case % 5 == 0 else flat, terms, cutoff, leak)
+        if psi is None:
+            continue
+        sec.add(repr(psi), psi.to_json(), psi.terms)
+        sec.state(psi)
+        sec.state(PureState.from_json(psi.to_json()))
+        g = [float(x) for x in rng.uniform(0.0, 0.9, size=4)]
+        g[0] = 0.0 if case % 7 == 0 else g[0]
+        one = apply_two_mode_squeezer(psi, SqueezerSpec(flat[1], flat[2], g[0]))
+        two = apply_two_mode_squeezer(one, SqueezerSpec(flat[0], flat[1], g[1]))
+        sec.state(one)
+        sec.state(two)
+        batch = apply_two_mode_squeezer(
+            StateBatch.of(psi, 3), [SqueezerSpec(flat[1], flat[2], x) for x in g[:3]]
+        )
+        batch = apply_two_mode_squeezer(
+            batch, [SqueezerSpec(flat[0], flat[1], x) for x in (g[3], 0.0, g[1])]
+        )
+        sec.state(batch)
+        for b in range(len(batch)):
+            sec.state(batch[b])
+        sec.value(batch.norm_sq())
+        sec.value(two.norm_sq())
+        for state in (two, batch):
+            for count in (0, 1, cutoff):
+                out = sec.outcome(project, state, DetectionPattern({flat[0]: count}))
+                if out is None:
+                    continue
+                sec.state(out.conditional_state)
+                sec.value(out.probability)
+                sec.state(fix_global_phase(out.conditional_state))
+            sec.value(inner_product(state, psi))
+            fid = sec.outcome(fidelity, state, psi)
+            if fid is not None:
+                sec.value(fid)
+            normed = sec.outcome(normalize, state)
+            if normed is not None:
+                sec.state(normed[0])
+                sec.value(normed[1])
+            sec.state(fix_global_phase(state))
+        sec.add(herald_weights(two, [flat[1], flat[0]]))
+        sec.state(superpose([(0.5, psi), (-0.25j, one), (1.0, two)]))
+        sec.state(tensor(make_basis_state((flat[0],), (1,), cutoff),
+                         sec.outcome(PureState, flat[1:], {(0, 1): 0.6, (1, 0): 0.8j}, cutoff)))
+        # type-II PDC on six polarized modes, single and batched
+        qutrit = sec.outcome(PureState, pol, random_state(rng, pol, min(cutoff, 3), n_terms),
+                             min(cutoff, 3))
+        if qutrit is not None:
+            spec = PdcSpec(2, 3, g[2])
+            sec.state(apply_type2_pdc(qutrit, spec))
+            sec.state(apply_type2_pdc(StateBatch.of(qutrit, 2), [spec, PdcSpec(2, 3, g[3])]))
+    # pruned terms join a nonzero ledger one by one, in insertion order
+    for case in range(40):
+        n_tiny = int(rng.integers(2, 14))
+        terms = {(int(k),): float(x) for k, x in zip(rng.permutation(16)[:n_tiny],
+                                                      rng.uniform(1e-9, 9.9e-9, n_tiny))}
+        terms[(16,)] = 1.0
+        st = PureState(flat[:1], terms, 16, float(rng.uniform(0.0, 1e-3)))
+        sec.add(repr(st.leaked_norm), st.to_json())
+        sec.add(repr(PureState.from_json(st.to_json()).leaked_norm))
+    # constructor errors
+    for terms in ({(5, -1): 1.0}, {(-1, 5): 1.0}, {(1,): 1.0}, {(1.0, 0): 1.0},
+                  {(1.5,): 1.0}, {(True, 0): 1.0}, {(0, 0): 1.0, (9, 0): 1.0, (-1, 0): 1.0},
+                  {(1.5, 0): 1.0, (9, 0): 1.0}, {(9, 0): None}, {(0, 0): None},
+                  {5: 1.0}, {(0, 0): NAN}, {}):
+        st = sec.outcome(PureState, flat[:2], terms, 4)
+        if st is not None:
+            sec.state(st)
+
+
+def non_integer_cutoffs(sec: Section) -> None:
+    for cutoff in (2.7, 3.0, 8.5, 16.0):
+        sec.add(cutoff)
+        sec.state(sec.outcome(PureState, (ModeLabel(1),), {(2,): 1.0}, cutoff)
+                  or PureState((ModeLabel(1),), {}, 0))
+        sec.add(sec.outcome(PureState, (ModeLabel(1),), {(3,): 1.0}, cutoff) is None)
+        for runner, g2 in ((run_nls, None), (run_qubit_teleport, 0.1), (run_qutrit_teleport, 0.1)):
+            args = (COEFFS[0],) if g2 is None else (COEFFS[1 if runner is run_qubit_teleport
+                                                            else 0], g2)
+            res = sec.outcome(runner, *args, cutoff=cutoff)
+            sec.add(None if res is None else res.to_json())
+        sec.add(sec.outcome(sweep, "teleport-qubit", [0.05, 0.3], cutoff))
+
+
+def main_corpus() -> None:
+    warnings.simplefilter("ignore")
+    sections = [Section(n) for n in ("runners", "sweeps", "cli", "kernels")]
+    runners(sections[0], integer_cutoffs)
+    sweeps(sections[1])
+    cli(sections[2])
+    kernels(sections[3])
+    total = hashlib.sha256()
+    for sec in sections:
+        digest = sec.hash.hexdigest()
+        total.update(digest.encode())
+        print(f"{sec.name:20} {digest}")
+    apart = Section("non-integer-cutoff")
+    non_integer_cutoffs(apart)
+    print(f"{apart.name:20} {apart.hash.hexdigest()}")
+    print(f"{'corpus':20} {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main_corpus()

@@ -440,3 +440,18 @@ def test_circuit_input_and_target_built_in_one_step(circuit, cs, cutoff):
         assert run == want_in
     elif not isinstance(run, tuple):
         _assert_same_bits(run.target_state, fix_global_phase(want_target))
+
+
+def test_runner_rejects_a_non_integer_cutoff():
+    # a fractional cutoff is an error, not a run at the truncated cutoff
+    with pytest.raises(FockError, match=r"cutoff must be an integer, got 2\.7"):
+        run_qubit_teleport(InputCoefficients(0.6, 0.8), 0.1, cutoff=2.7)
+    with pytest.raises(FockError, match=r"cutoff must be an integer, got 8\.5"):
+        run_nls(InputCoefficients(0.6, 0.8), cutoff=8.5)
+
+
+def test_sweep_non_integer_cutoff_is_an_error_row():
+    rows = sweep("teleport-qutrit", [0.05, 0.3], cutoff=2.7)
+    assert rows[0]["error"] == "cutoff must be an integer, got 2.7"
+    assert rows[0]["probability"] is None
+    assert "unphysical squeezer" in rows[1]["error"]

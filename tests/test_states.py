@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,3 +259,88 @@ def test_tensor_inner_product_factorizes(na, nb, nc, nd):
     lhs = inner_product(tensor(a, b), tensor(c, d))
     rhs = inner_product(a, c) * inner_product(b, d)
     assert abs(lhs - rhs) < 1e-12
+
+
+# -- the mapping constructor's contract ------------------------------------------
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "terms, want",
+    [
+        # a term's entries are checked in order: the bound fires before the sign
+        ({(5, -1): 1.0}, (CutoffExceededError, "occupation (5, -1) exceeds cutoff 4")),
+        ({(-1, 5): 1.0}, (FockError, "negative occupation in (-1, 5)")),
+        ({(1,): 1.0}, (ModeMismatchError, "occupation (1,) has length 1, expected 2")),
+        ({(1.0, 0): 1.0}, (FockError, "occupation (1.0, 0) is not a tuple of integers")),
+        ({(1.5,): 1.0}, (FockError, "occupation (1.5,) is not a tuple of integers")),
+        ({(2**70, 0): 1.0}, (CutoffExceededError, f"occupation ({2**70}, 0) exceeds cutoff 4")),
+        ({(0, -(2**70)): 1.0}, (FockError, f"negative occupation in (0, {-(2**70)})")),
+        # several bad terms: the first one in insertion order is named
+        ({(0, 0): 1.0, (9, 0): 1.0, (-1, 0): 1.0},
+         (CutoffExceededError, "occupation (9, 0) exceeds cutoff 4")),
+        ({(-1, 0): 1.0, (9, 0): 1.0}, (FockError, "negative occupation in (-1, 0)")),
+        ({(9, 0): 1.0, (1.5, 0): 1.0}, (CutoffExceededError, "occupation (9, 0) exceeds cutoff 4")),
+        ({(1.5, 0): 1.0, (9, 0): 1.0},
+         (FockError, "occupation (1.5, 0) is not a tuple of integers")),
+        ({(9, 0): 1.0, (1,): 1.0}, (CutoffExceededError, "occupation (9, 0) exceeds cutoff 4")),
+        ({(0, 0): 1.0, (1,): 1.0, (9, 0): 1.0},
+         (ModeMismatchError, "occupation (1,) has length 1, expected 2")),
+        # an amplitude is converted after its own occupation is checked
+        ({(9, 0): None}, (CutoffExceededError, "occupation (9, 0) exceeds cutoff 4")),
+        ({(0, 0): None, (9, 0): 1.0}, _raised(complex, None)),
+    ],
+)
+def test_constructor_names_the_first_bad_term(terms, want):
+    assert _raised(PureState, (M1, M2), terms, 4) == want
+
+
+def test_constructor_accepts_integer_like_occupations():
+    st_ = PureState((M1, M2), {(True, 0): 1.0}, 4)
+    assert st_.terms == {(1, 0): 1.0}
+    assert st_.occupations.dtype == np.int64
+
+
+def _pruned_ledger_terms():
+    return {
+        (4,): 1.4167695923015321e-09,
+        (3,): 8.40485062198488e-09,
+        (2,): 7.584991265970817e-09,
+        (1,): 2.5996764522463326e-09,
+        (0,): 1.0,
+    }
+
+
+def test_pruned_terms_join_the_ledger_in_insertion_order():
+    # one by one onto the incoming ledger, in insertion order; a pairwise
+    # sum of the pruned terms in row order gives 0.0004954350870920779
+    st_ = PureState((M1,), _pruned_ledger_terms(), 8, 0.000495435087091941)
+    assert repr(st_.leaked_norm) == "0.000495435087092078"
+    assert st_.terms == {(0,): 1.0}
+    data = {
+        "modes": [{"path": 1, "pol": None}],
+        "cutoff": 8,
+        "leaked_norm": 0.000495435087091941,
+        "terms": [{"occ": list(occ), "re": a, "im": 0.0} for occ, a in _pruned_ledger_terms().items()],
+    }
+    back = PureState.from_dict(data)
+    assert repr(back.leaked_norm) == "0.000495435087092078"
+    assert back.terms == {(0,): 1.0}
+
+
+@pytest.mark.parametrize("cutoff", [3.5, 2.9, 3.0, None, "3"])
+def test_constructor_rejects_a_non_integer_cutoff(cutoff):
+    with pytest.raises(FockError, match=r"cutoff must be an integer, got "):
+        PureState((M1,), {(2,): 1.0}, cutoff)
+
+
+def test_constructor_accepts_integer_like_cutoffs():
+    assert PureState((M1,), {(2,): 1.0}, np.int64(3)).cutoff == 3
+    assert type(PureState((M1,), {(1,): 1.0}, np.int64(3)).cutoff) is int
