@@ -25,7 +25,8 @@ for n in range(3):
 print(f"  fidelity against the sign-flipped target: {res.fidelity:.12f}")
 print(f"  heralded success probability: {res.success_probability:.6f}"
       f"  (~4.25%)")
-print(f"  leaked norm at cutoff 64: {res.leaked_norm:.2e}")
+print(f"  cutoff {res.output_state.cutoff} (the herald cutoff), exact: {res.exact};"
+      f" weight outside the herald cone: {res.leaked_norm:.2e}")
 print()
 
 print("off-solution couplings distort the output instead of failing:")

@@ -24,9 +24,12 @@ print(f"simulator (1,1)-herald probability : {res.success_probability:.10f}")
 print(f"closed form (1-g1)(1-g2)g2 terms   : {res.closed_form_probability:.10f}")
 print(f"paper-quoted 2(1-g1)(1-g2)g2       : {res.paper_claimed_probability:.10f}")
 print()
-print("leading herald outcomes over detector modes (1, 2):")
+# the default cutoff (1) decides only the heralded (1,1) pattern; the other
+# patterns need room for more photons
+full = run_qubit_teleport(InputCoefficients(alpha, beta), gamma2, cutoff=16)
+print("leading herald outcomes over detector modes (1, 2), at cutoff 16:")
 total = 0.0
-for counts, weight in res.herald_distribution:
+for counts, weight in full.herald_distribution:
     total += weight
     if weight > 1e-4:
         print(f"  detectors read {counts}: probability {weight:.10f}")

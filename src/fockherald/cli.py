@@ -26,14 +26,14 @@ def _fail(message: str, code: int = USAGE_ERROR) -> int:
     return code
 
 
-def _cutoff(args, default: int) -> int:
-    """``--cutoff``, else ``FOCKHERALD_CUTOFF``, else ``default``; must be >= 1."""
+def _cutoff(args) -> int | None:
+    """``--cutoff``, else ``FOCKHERALD_CUTOFF``, else None (the herald cutoff); must be >= 1."""
     if args.cutoff is not None:
         name, raw = "--cutoff", args.cutoff
     else:
         name, raw = "FOCKHERALD_CUTOFF", os.environ.get("FOCKHERALD_CUTOFF")
         if raw is None:
-            return default
+            return None
     try:
         value = int(raw)
     except ValueError:
@@ -80,7 +80,7 @@ def cmd_run(args) -> int:
     coeffs = _coefficients(args)
     constrained = True
     if args.protocol == "nls":
-        cutoff = _cutoff(args, protocols.DEFAULT_NLS_CUTOFF)
+        cutoff = _cutoff(args)
         if args.gamma1 is not None or args.gamma2 is not None:
             if args.auto_params:
                 raise FockError("--auto-params conflicts with explicit gammas")
@@ -96,8 +96,8 @@ def cmd_run(args) -> int:
             raise FockError(f"{args.protocol} requires --gamma2")
         if args.gamma1 is not None:
             raise FockError(f"{args.protocol} derives gamma1 from the constraint")
-        runner, _, default_cutoff = protocols._RUNNERS[args.protocol]
-        result = runner(coeffs, args.gamma2, _cutoff(args, default_cutoff))
+        runner, _, _ = protocols._RUNNERS[args.protocol]
+        result = runner(coeffs, args.gamma2, _cutoff(args))
 
     if args.format == "json":
         print(result.to_json())
@@ -125,6 +125,7 @@ def cmd_run(args) -> int:
             print(f"closed-form (1,..,1): {result.closed_form_probability:.12g}")
         print(f"fidelity            : {result.fidelity:.12g}")
         print(f"leaked norm         : {result.leaked_norm:.3e}")
+        print(f"exact               : {result.exact}")
         print("top output terms:")
         top = sorted(
             result.output_state.terms.items(), key=lambda kv: -abs(kv[1])
@@ -155,8 +156,7 @@ def cmd_sweep(args) -> int:
     else:
         step = (args.stop - args.start) / (args.points - 1)
         grid = [args.start + i * step for i in range(args.points)]
-    cutoff = _cutoff(args, protocols._RUNNERS[args.protocol][2])
-    rows = protocols.sweep(args.protocol, grid, cutoff)
+    rows = protocols.sweep(args.protocol, grid, _cutoff(args))
     writer = csv.writer(sys.stdout)
     writer.writerow(["gamma2", "gamma1", "probability", "fidelity", "leaked_norm", "error"])
     for row in rows:

@@ -23,20 +23,24 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .heralding import DetectionPattern, herald_weights, project
-from .squeezers import PdcSpec, SqueezerSpec, apply_two_mode_squeezer, apply_type2_pdc
+from .squeezers import (
+    PdcSpec,
+    SqueezerSpec,
+    apply_two_mode_squeezer,
+    apply_type2_pdc,
+    _pdc_pairs,
+)
 from .states import (
     EPS_ZERO,
     FockError,
     ModeLabel,
+    ModeMismatchError,
     PureState,
     StateBatch,
     ZeroNormError,
     _overlaps,
 )
 
-DEFAULT_NLS_CUTOFF = 64      # strong coupling, gamma1 ~ 0.757
-DEFAULT_QUBIT_CUTOFF = 16    # weak coupling teleport runs
-DEFAULT_QUTRIT_CUTOFF = 8
 SWEEP_CHUNK = 32             # grid points per sweep batch; bounds a sweep's memory
 
 
@@ -81,9 +85,20 @@ class GateParams:
 class ProtocolResult:
     """Conditional output with success probability and target fidelity.
 
+    ``exact`` certifies the heralded result: the run's cutoff is at least
+    the circuit's herald cutoff for this input (``Circuit.herald_cutoffs``),
+    so ``success_probability``, ``fidelity`` and the output state's terms
+    are what any larger cutoff gives, bit for bit.  ``leaked_norm`` is the
+    pre-herald ledger: weight pushed past the cutoff anywhere, most of which
+    never reaches the herald when ``exact``.  The output state's own
+    ``leaked_norm`` is 0.0 when ``exact``; otherwise it is the pre-herald
+    ledger divided by the herald probability, capped at 1, a scale of the
+    truncation error per unit of heralded weight rather than a bound on it.
+
     ``pre_herald_state`` is the state the herald acts on; the weight of every
     pattern on the ``detected`` modes, ``herald_distribution``, is computed
-    from it on first read.
+    from it on first read.  Only the heralded pattern is certified: entries
+    of other patterns near the cutoff can be wrong.
     """
 
     protocol: str
@@ -98,6 +113,7 @@ class ProtocolResult:
     closed_form_probability: float | None = None
     pre_herald_state: PureState | None = field(default=None, repr=False)
     detected: tuple[ModeLabel, ...] = ()
+    exact: bool = False
 
     @functools.cached_property
     def herald_distribution(self) -> list[tuple[tuple[int, ...], float]]:
@@ -116,6 +132,7 @@ class ProtocolResult:
             "closed_form_single_pattern_probability": self.closed_form_probability,
             "fidelity": self.fidelity,
             "leaked_norm": self.leaked_norm,
+            "exact": self.exact,
             "output_state": self.output_state.to_dict(),
         }
 
@@ -246,23 +263,144 @@ class Circuit:
     closed_form: Callable[..., float]
     paper_claim: Callable[[float, float], float] | None = None
 
+    @functools.cached_property
+    def herald_cutoffs(self) -> tuple[int | float, ...]:
+        """Per input, the smallest cutoff that decides its heralded result.
+
+        It is the largest occupation on any path from ``inputs[i]`` to the
+        herald pattern, at any layer, or of the herald, the input or
+        ``targets[i]`` itself: at that cutoff and above, every amplitude the
+        herald keeps is computed from the same terms in the same order, so
+        the heralded fields are bit for bit the same.  ``math.inf`` where
+        the paths are unbounded and no finite cutoff decides the result.
+        The value depends on the circuit's structure only, not on the
+        couplings; the circuit is linear, so a superposition needs the
+        largest value over its nonzero coefficients.
+        """
+        col = {m: i for i, m in enumerate(self.modes)}
+        pairs = []  # the mode columns of every squeezer in the order they act
+        for spec, a, b, _ in self.layers:
+            for ma, mb in _pdc_pairs(a, b) if spec is PdcSpec else ((a, b),):
+                if ma not in col or mb not in col:
+                    raise ModeMismatchError(f"{self.name}: layer on {ma}, {mb} outside its modes")
+                pairs.append((col[ma], col[mb]))
+        if not set(self.detected) <= set(col):
+            raise ModeMismatchError(f"{self.name}: detected modes outside its modes")
+        detected = [col[m] for m in self.detected]
+        return tuple(
+            max(_cone_peak(x, pairs, detected), max(x), max(t, default=0), 1 if detected else 0)
+            for x, t in zip(self.inputs, self.targets)
+        )
+
+
+# -- herald cone ---------------------------------------------------------------
+#
+# Squeezer k adds the same integer shift s_k to both of its modes (it
+# conserves n_a - n_b), so every occupation at every stage is an affine
+# function of the input and the shifts.  A path reaches the herald when each
+# detected mode ends at 1 and no occupation is ever negative: the integer
+# points of a polyhedron.  They are walked shift by shift, each shift's range
+# given the ones before it taken from a Fourier-Motzkin projection.  A row
+# is a list of integers [constant, coefficient of s_0, ...], read as
+# row >= 0; the projection combines rows with positive integer factors, so
+# rows stay integral.
+
+
+def _cone_peak(
+    inputs: tuple[int, ...], pairs: list[tuple[int, int]], detected: list[int]
+) -> int | float:
+    """Largest occupation on any path from ``inputs`` to the herald; 0 if none, inf if unbounded."""
+    width = len(pairs) + 1
+    occupation = [[n] + [0] * (width - 1) for n in inputs]
+    stages = []  # every occupation a squeezer leaves
+    for k, (a, b) in enumerate(pairs):
+        for c in (a, b):
+            occupation[c] = occupation[c][:]
+            occupation[c][k + 1] += 1
+            stages.append(occupation[c])
+    herald = []  # a detected mode ends at 1: its occupation - 1 is >= 0 and <= 0
+    for d in detected:
+        row = occupation[d][:]
+        row[0] -= 1
+        herald += [row, [-x for x in row]]
+    return _peak(stages, herald, list(range(1, width)))
+
+
+def _fix(row: list, var: int, value: int) -> list:
+    """``row`` with variable ``var`` set to ``value``."""
+    out = row[:]
+    out[0] += row[var] * value
+    out[var] = 0
+    return out
+
+
+def _peak(stages: list, herald: list, free: list[int]) -> int | float:
+    """Max of ``stages`` over the integer values of the ``free`` variables that
+    keep every row >= 0; 0 if there are none, inf if they are unbounded."""
+    rows = stages + herald
+    if not free:
+        return max((r[0] for r in stages), default=0) if all(r[0] >= 0 for r in rows) else 0
+    var, rest = free[0], free[1:]
+    lo = hi = None
+    for row in _project(rows, rest):
+        a, c = row[var], row[0]
+        if a > 0:  # var >= ceil(-c / a)
+            lo = -(c // a) if lo is None else max(lo, -(c // a))
+        elif a < 0:  # var <= floor(c / -a)
+            hi = c // -a if hi is None else min(hi, c // -a)
+        elif c < 0:
+            return 0
+    if lo is not None and hi is not None and lo > hi:
+        return 0
+    if lo is None or hi is None:
+        return math.inf
+    best = 0
+    for n in range(lo, hi + 1):
+        best = max(best, _peak([_fix(r, var, n) for r in stages],
+                               [_fix(r, var, n) for r in herald], rest))
+    return best
+
+
+def _project(rows: list, variables: list[int]) -> list:
+    """Fourier-Motzkin: the rows >= 0 that ``variables`` eliminated leave."""
+    for var in variables:
+        pos = [r for r in rows if r[var] > 0]
+        neg = [r for r in rows if r[var] < 0]
+        rows = [r for r in rows if not r[var]] + [
+            [p_x * -n[var] + n_x * p[var] for p_x, n_x in zip(p, n)] for p in pos for n in neg
+        ]
+        rows = list(map(list, set(map(tuple, rows))))
+    return rows
+
+
+def _herald_cutoff(circuit: Circuit, cs: Sequence[complex]) -> int | float:
+    """The herald cutoff of sum_i cs[i] |inputs[i]>: the largest over its nonzero terms."""
+    return max((n for n, c in zip(circuit.herald_cutoffs, cs) if c != 0), default=0)
+
 
 def run_circuit(
-    circuit: Circuit, coeffs: InputCoefficients, params: GateParams, cutoff: int
+    circuit: Circuit, coeffs: InputCoefficients, params: GateParams, cutoff: int | None = None
 ) -> ProtocolResult:
     """Run ``circuit`` on the normalized ``coeffs`` and herald the output.
 
-    Zero coefficients add no term to the input or to the target, so a
-    circuit's unused occupations need not fit under the cutoff.
+    ``cutoff=None`` runs at the herald cutoff of the input (see
+    ``Circuit.herald_cutoffs``).  Zero coefficients add no term to the input
+    or to the target, so a circuit's unused occupations need not fit under
+    the cutoff.
     """
-    psi, target, prob, out_state, fid = _run_batch(circuit, coeffs, [params], cutoff)
-    gammas = (params.gamma1, params.gamma2)
     cs = (coeffs.c0, coeffs.c1, coeffs.c2)
+    psi, target, prob, out_state, fid = _run_batch(circuit, coeffs, [params], cutoff)
+    exact = psi.cutoff >= _herald_cutoff(circuit, cs)
+    output = out_state[0]
+    if exact:  # a fresh row: no weight the cutoff dropped could reach its herald
+        output._set(output.modes, output.occupations, output._amps, output.cutoff,
+                    np.zeros(1), None)
+    gammas = (params.gamma1, params.gamma2)
     return ProtocolResult(
         protocol=circuit.name,
         gamma1=params.gamma1,
         gamma2=params.gamma2,
-        output_state=out_state[0],
+        output_state=output,
         success_probability=float(prob[0]),
         fidelity=float(fid[0]),
         target_state=target,
@@ -272,19 +410,28 @@ def run_circuit(
         closed_form_probability=circuit.closed_form(*gammas, *(abs(c) ** 2 for c in cs)),
         pre_herald_state=psi[0],
         detected=circuit.detected,
+        exact=exact,
     )
 
 
 def _run_batch(
-    circuit: Circuit, coeffs: InputCoefficients, params: Sequence[GateParams], cutoff: int
+    circuit: Circuit,
+    coeffs: InputCoefficients,
+    params: Sequence[GateParams],
+    cutoff: int | None,
 ) -> tuple[StateBatch, PureState, np.ndarray, StateBatch, np.ndarray]:
     """``circuit`` on one input for every ``params``, as one batch.
 
     Returns the pre-herald batch, the target, and per state the herald
     probability, the phase-fixed conditional state and its fidelity to the
     target (0 where the herald probability is at most ``EPS_ZERO``).
+    ``cutoff=None`` is the herald cutoff of the input.
     """
     cs = (coeffs.c0, coeffs.c1, coeffs.c2)
+    if cutoff is None:
+        cutoff = _herald_cutoff(circuit, cs)
+        if cutoff == math.inf:
+            raise FockError(f"no finite cutoff decides the herald of {circuit.name}")
     psi = StateBatch.of(_basis_sum(circuit.modes, circuit.inputs, cs, cutoff), len(params))
     for spec, a, b, g in circuit.layers:
         apply = apply_type2_pdc if spec is PdcSpec else apply_two_mode_squeezer
@@ -369,15 +516,14 @@ QUTRIT_TELEPORT = Circuit(
 def run_nls(
     coeffs: InputCoefficients,
     params: GateParams | None = None,
-    cutoff: int = DEFAULT_NLS_CUTOFF,
+    cutoff: int | None = None,
 ) -> ProtocolResult:
     """Nonlinear sign gate: two squeezers plus a two-fold coincidence.
 
     With the solved couplings the conditional output is
-    c0|0> + c1|1> - c2|2> on mode 3.
+    c0|0> + c1|1> - c2|2> on mode 3.  ``cutoff=None`` is the herald cutoff:
+    2, or 1 when c2 = 0.
     """
-    if cutoff < 8:
-        raise FockError("run_nls needs cutoff >= 8")
     coeffs = coeffs.normalized()
     if params is None:
         params = solve_nls_params()
@@ -387,14 +533,15 @@ def run_nls(
 def run_qubit_teleport(
     coeffs: InputCoefficients,
     gamma2: float,
-    cutoff: int = DEFAULT_QUBIT_CUTOFF,
+    cutoff: int | None = None,
 ) -> ProtocolResult:
     """Teleport c0|0> + c1|1> through a squeezed-vacuum channel.
 
     gamma1 follows from the teleport constraint; the herald is one photon
     in each of modes 1 and 2.  The paper's doubled success probability is
     recorded in metadata, not asserted; the full herald distribution is
-    computed when ``herald_distribution`` is first read.
+    computed when ``herald_distribution`` is first read.  ``cutoff=None``
+    is the herald cutoff, 1.
     """
     _require_qubit(coeffs)
     coeffs = coeffs.normalized()
@@ -410,12 +557,13 @@ def _require_qubit(coeffs: InputCoefficients) -> None:
 def run_qutrit_teleport(
     coeffs: InputCoefficients,
     gamma2: float,
-    cutoff: int = DEFAULT_QUTRIT_CUTOFF,
+    cutoff: int | None = None,
 ) -> ProtocolResult:
     """Teleport c0|0> + c1|H> + c2|V> through two type-II PDC layers.
 
     Herald is the four-photon coincidence: one photon in each of H1, V1,
-    H2, V2.  Output lives on path 3 (modes H3, V3).
+    H2, V2.  Output lives on path 3 (modes H3, V3).  ``cutoff=None`` is the
+    herald cutoff, 1.
     """
     coeffs = coeffs.normalized()
     params = GateParams(solve_teleport_constraint(gamma2), gamma2)
@@ -429,9 +577,11 @@ _BALANCED_QUTRIT = InputCoefficients(
     1 / math.sqrt(3), 1 / math.sqrt(3), 1 / math.sqrt(3)
 )
 
+# (runner, balanced input, default cutoff); every default is None, the
+# herald cutoff
 _RUNNERS = {
-    "teleport-qubit": (run_qubit_teleport, _BALANCED_QUBIT, DEFAULT_QUBIT_CUTOFF),
-    "teleport-qutrit": (run_qutrit_teleport, _BALANCED_QUTRIT, DEFAULT_QUTRIT_CUTOFF),
+    "teleport-qubit": (run_qubit_teleport, _BALANCED_QUBIT, None),
+    "teleport-qutrit": (run_qutrit_teleport, _BALANCED_QUTRIT, None),
 }
 _TELEPORT_CIRCUITS = {c.name: c for c in (QUBIT_TELEPORT, QUTRIT_TELEPORT)}
 
@@ -440,12 +590,12 @@ def _teleport_probability(protocol: str, gamma2: float, cutoff: int | None) -> f
     # infeasible couplings (gamma1 >= 1) count as zero success, so ranges
     # extending past the feasibility boundary remain searchable; any other
     # failure of the run is an error
-    runner, coeffs, default_cutoff = _RUNNERS[protocol]
+    runner, coeffs, _ = _RUNNERS[protocol]
     try:
         solve_teleport_constraint(gamma2)
     except FockError:
         return 0.0
-    return runner(coeffs, gamma2, default_cutoff if cutoff is None else cutoff).success_probability
+    return runner(coeffs, gamma2, cutoff).success_probability
 
 
 def _feasible_limit(lo: float, hi: float) -> float:
@@ -530,14 +680,13 @@ def sweep(
     The feasible points run through the circuit as one batch of at most
     ``SWEEP_CHUNK`` points at a time, which bounds the memory a long grid
     takes; every row equals the row of a separate run at its point.
+    ``cutoff=None`` is the herald cutoff of ``coeffs``.
     """
     if protocol not in _RUNNERS:
         raise FockError(f"unknown teleport protocol {protocol!r}")
-    _, balanced, default_cutoff = _RUNNERS[protocol]
+    _, balanced, _ = _RUNNERS[protocol]
     circuit = _TELEPORT_CIRCUITS[protocol]
     coeffs = coeffs or balanced
-    if cutoff is None:
-        cutoff = default_cutoff
     shared_error = None
     try:
         if circuit is QUBIT_TELEPORT:

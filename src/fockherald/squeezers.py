@@ -241,6 +241,14 @@ def squeezer_matrix_element(m: int, n: int, mp: int, np_: int, gamma: float) -> 
     return complex(total)
 
 
+def _pdc_pairs(path_a: int, path_b: int) -> tuple[tuple[ModeLabel, ModeLabel], ...]:
+    """The mode pairs a type-II PDC between two paths squeezes, in the order it applies them."""
+    return tuple(
+        (ModeLabel(path_a, pol_a), ModeLabel(path_b, pol_b))
+        for pol_a, pol_b in (("H", "V"), ("V", "H"))
+    )
+
+
 def apply_type2_pdc(
     state: StateBatch, spec: PdcSpec | Sequence[PdcSpec]
 ) -> StateBatch:
@@ -249,10 +257,9 @@ def apply_type2_pdc(
     ``spec`` is one spec or one per state, all on the same two paths.
     """
     specs = (spec,) if isinstance(spec, PdcSpec) else spec
+    pairs = [_pdc_pairs(sp.path_a, sp.path_b) for sp in specs]
     layers = [
-        [SqueezerSpec(ModeLabel(sp.path_a, pol_a), ModeLabel(sp.path_b, pol_b), sp.gamma)
-         for sp in specs]
-        for pol_a, pol_b in (("H", "V"), ("V", "H"))
+        [SqueezerSpec(*p[i], sp.gamma) for p, sp in zip(pairs, specs)] for i in (0, 1)
     ]
     for layer in layers:
         ma, mb = layer[0].mode_a, layer[0].mode_b

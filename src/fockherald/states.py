@@ -377,15 +377,10 @@ class PureState(StateBatch):
     ):
         modes = tuple(modes)
         _validate_modes(modes)
-        order = canonical_modes(modes)
-        if order != modes:
-            perm = [modes.index(m) for m in order]
-            terms = {tuple(occ[p] for p in perm): a for occ, a in terms.items()}
-            modes = order
         _check_cutoff(len(modes), cutoff)
-        # terms are read in insertion order, and a pruned term joins the ledger
-        # then; the first term that cannot be read is reported unless a term
-        # before it is out of bounds
+        # terms are read and checked in insertion order and the caller's mode
+        # order, and a pruned term joins the ledger then; the first term that
+        # cannot be read is reported unless a term before it is out of bounds
         occs, kept, error = [], {}, None
         leaked = float(leaked_norm)
         try:
@@ -414,6 +409,10 @@ class PureState(StateBatch):
         _check_bounds(occupations, cutoff, occs)
         if error is not None:
             raise error
+        canonical = canonical_modes(modes)
+        if canonical != modes:
+            occupations = occupations[:, [modes.index(m) for m in canonical]]
+            occs, modes = list(map(tuple, occupations.tolist())), canonical
         order = sorted(kept, key=occs.__getitem__)
         if order != list(range(len(occs))):
             occupations = occupations.take(order, axis=0)

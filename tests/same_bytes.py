@@ -15,6 +15,14 @@ is printed too, so a difference can be located.  Cases whose outcome
 depends on a non-integer cutoff are hashed apart, on the
 ``non-integer-cutoff`` line, and are not part of ``corpus``.
 
+The ``heralded`` line, also apart from ``corpus``, hashes only what the
+herald decides and no cutoff at or above the herald cutoff changes:
+probability, fidelity and closed form, output and target rows and
+amplitudes of the runners at their default cutoff and at explicit cutoffs
+that decide the herald, the probability and fidelity of sweep rows, and
+optimizer results.  It stays equal when a change moves a default cutoff
+within that range.
+
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
@@ -297,6 +305,41 @@ def non_integer_cutoffs(sec: Section) -> None:
         sec.add(sec.outcome(sweep, "teleport-qubit", [0.05, 0.3], cutoff))
 
 
+def heralded(sec: Section) -> None:
+    calls = [(run_nls, None, (8, 12, 16, 64))]
+    for g2 in (0.01, 0.1, 0.2, 0.3):
+        calls.append((run_qubit_teleport, g2, (1, 2, 5, 16)))
+        calls.append((run_qutrit_teleport, g2, (1, 2, 3, 8)))
+    for runner, g2, cutoffs in calls:
+        for coeffs in COEFFS:
+            args = (coeffs,) if g2 is None else (coeffs, g2)
+            for cutoff in (None, *cutoffs):
+                sec.add(runner.__name__, coeffs, g2, cutoff)
+                kwargs = {} if cutoff is None else {"cutoff": cutoff}
+                res = sec.outcome(runner, *args, **kwargs)
+                if res is None:
+                    continue
+                sec.add(repr(res.success_probability), repr(res.fidelity),
+                        repr(res.closed_form_probability))
+                for state in (res.output_state, res.target_state):
+                    sec.add(state.modes, state.occupations.tobytes(),
+                            np.ascontiguousarray(state.amplitudes).view(float).tobytes())
+    grids = [[0.01, 0.05, 0.1, 0.2, 0.24], list(np.linspace(0.001, 0.26, 40)),
+             [0.0, -0.1, 0.5, 0.3, 0.05, 0.05]]
+    for protocol, cutoffs in (("teleport-qubit", (1, 3, 16)), ("teleport-qutrit", (1, 2, 8))):
+        for grid in grids:
+            for cutoff in (None, *cutoffs):
+                for coeffs in (None, *COEFFS[:4], COEFFS[8], COEFFS[10]):
+                    sec.add(protocol, grid, cutoff, coeffs)
+                    rows = sec.outcome(sweep, protocol, grid, cutoff, coeffs) or []
+                    sec.add([(r["gamma2"], r["probability"], r["fidelity"], r["error"])
+                             for r in rows])
+        for rng, tol, cutoff in (((0.02, 0.24), 1e-4, None), ((0.1, 0.45), 1e-3, None),
+                                 ((0.1, 0.45), 1e-3, 4)):
+            sec.add(protocol, rng, tol, cutoff)
+            sec.add(sec.outcome(optimize_teleport_success, protocol, rng, tol, cutoff))
+
+
 def main_corpus() -> None:
     warnings.simplefilter("ignore")
     sections = [Section(n) for n in ("runners", "sweeps", "cli", "kernels")]
@@ -312,6 +355,9 @@ def main_corpus() -> None:
     apart = Section("non-integer-cutoff")
     non_integer_cutoffs(apart)
     print(f"{apart.name:20} {apart.hash.hexdigest()}")
+    decided = Section("heralded")
+    heralded(decided)
+    print(f"{decided.name:20} {decided.hash.hexdigest()}")
     print(f"{'corpus':20} {total.hexdigest()}")
 
 

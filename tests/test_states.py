@@ -302,6 +302,29 @@ def test_constructor_names_the_first_bad_term(terms, want):
     assert _raised(PureState, (M1, M2), terms, 4) == want
 
 
+@pytest.mark.parametrize(
+    "terms, want",
+    [
+        ({(1, 2, 3): 1.0}, (ModeMismatchError, "occupation (1, 2, 3) has length 3, expected 2")),
+        ({(1,): 1.0}, (ModeMismatchError, "occupation (1,) has length 1, expected 2")),
+        ({(5, 0): 1.0}, (CutoffExceededError, "occupation (5, 0) exceeds cutoff 4")),
+        ({(5, -1): 1.0}, (CutoffExceededError, "occupation (5, -1) exceeds cutoff 4")),
+        ({(-1, 5): 1.0}, (FockError, "negative occupation in (-1, 5)")),
+        ({(0, 0): 1.0, (1.5, 0): 1.0},
+         (FockError, "occupation (1.5, 0) is not a tuple of integers")),
+    ],
+)
+def test_constructor_checks_terms_in_the_callers_mode_order(terms, want):
+    # modes given as (2, 1): each term is checked as written, then reordered
+    assert _raised(PureState, (M2, M1), terms, 4) == want
+
+
+def test_constructor_reorders_checked_terms_to_canonical_modes():
+    st_ = PureState((M2, M1), {(1, 2): 0.6, (2, 0): 0.8j}, 4)
+    assert st_.modes == (M1, M2)
+    assert st_.terms == {(0, 2): 0.8j, (2, 1): 0.6}
+
+
 def test_constructor_accepts_integer_like_occupations():
     st_ = PureState((M1, M2), {(True, 0): 1.0}, 4)
     assert st_.terms == {(1, 0): 1.0}
