@@ -96,8 +96,7 @@ def cmd_run(args) -> int:
             raise FockError(f"{args.protocol} requires --gamma2")
         if args.gamma1 is not None:
             raise FockError(f"{args.protocol} derives gamma1 from the constraint")
-        runner, _, _ = protocols._RUNNERS[args.protocol]
-        result = runner(coeffs, args.gamma2, _cutoff(args))
+        result = protocols.run_teleport(args.protocol, coeffs, args.gamma2, _cutoff(args))
 
     if args.format == "json":
         print(result.to_json())
@@ -202,9 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_params.set_defaults(func=cmd_params)
 
     p_run = sub.add_parser("run", help="run a protocol")
-    p_run.add_argument(
-        "protocol", choices=["nls", "teleport-qubit", "teleport-qutrit"]
-    )
+    p_run.add_argument("protocol", choices=["nls", *protocols.TELEPORTS])
     for name in ("c0", "c1", "c2"):
         p_run.add_argument(f"--{name}", type=float, default=None)
         p_run.add_argument(f"--{name}-re", type=float, default=None)
@@ -219,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="gamma2 sweep, CSV on stdout")
-    p_sweep.add_argument("protocol", choices=["teleport-qubit", "teleport-qutrit"])
+    p_sweep.add_argument("protocol", choices=list(protocols.TELEPORTS))
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--points", type=int, default=10)

@@ -6,7 +6,9 @@ any of them: input superposition, layers, coincidence herald, then the
 normalized conditional state with its herald probability and fidelity to
 the target.  ``NLS``, ``QUBIT_TELEPORT`` and ``QUTRIT_TELEPORT`` are the
 paper's three uses of one setup, behind ``run_nls``, ``run_qubit_teleport``
-and ``run_qutrit_teleport``.  Parameter constraint solvers and a success
+and ``run_qutrit_teleport``; ``TELEPORTS`` names the two teleports, and
+``run_teleport``, ``sweep`` and ``optimize_teleport_success`` take a
+teleport by that name.  Parameter constraint solvers and a success
 probability optimizer/sweep layer live here as well; a sweep runs its grid
 through the circuit's layers as one ``StateBatch``.
 """
@@ -80,6 +82,11 @@ class GateParams:
             if not 0.0 <= g < 1.0:
                 raise FockError(f"{name} must lie in [0, 1), got {g}")
 
+    @classmethod
+    def teleport(cls, gamma2: float) -> "GateParams":
+        """A teleport's couplings: gamma1 from ``solve_teleport_constraint``."""
+        return cls(solve_teleport_constraint(gamma2), gamma2)
+
 
 @dataclass
 class ProtocolResult:
@@ -146,37 +153,12 @@ class ProtocolResult:
 def solve_nls_params() -> GateParams:
     """Couplings making the three herald coefficients equal up to sign.
 
-    Substitutes gamma1 = gamma2/(1-2*gamma2)^2 into the second equality and
-    bisects for gamma2 on (0, 1/2); the result is confirmed against the
-    closed forms (21-7*sqrt(2))/(9+4*sqrt(2)) and (3-sqrt(2))/7.
+    They are the closed forms (21-7*sqrt(2))/(9+4*sqrt(2)) and
+    (3-sqrt(2))/7, the root of gamma1 = gamma2/(1-2*gamma2)^2 substituted
+    into the second coupling equation; both residuals are checked.
     """
-
-    def residual(g2: float) -> float:
-        # gamma1*(2-3*gamma2) = 1 with gamma1 = g2/(1-2 g2)^2, cleared of poles
-        return g2 * (2.0 - 3.0 * g2) - (1.0 - 2.0 * g2) ** 2
-
-    lo, hi = 1e-9, 0.5 - 1e-9
-    flo = residual(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = residual(mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    g2 = 0.5 * (lo + hi)
-    g1 = solve_teleport_constraint(g2)
-
-    g2_closed = (3.0 - math.sqrt(2.0)) / 7.0
-    g1_closed = (21.0 - 7.0 * math.sqrt(2.0)) / (9.0 + 4.0 * math.sqrt(2.0))
-    if abs(g2 - g2_closed) > 1e-13 or abs(g1 - g1_closed) > 1e-13:
-        raise FockError("bisection disagrees with the closed-form couplings")
-    # snap to the closed forms; the bisection served as confirmation
-    g1, g2 = g1_closed, g2_closed
-
+    g1 = (21.0 - 7.0 * math.sqrt(2.0)) / (9.0 + 4.0 * math.sqrt(2.0))
+    g2 = (3.0 - math.sqrt(2.0)) / 7.0
     r1, r2 = coupling_residuals(g1, g2)
     if max(abs(r1), abs(r2)) >= 1e-12:
         raise FockError(f"coupling residuals too large: {r1:.2e}, {r2:.2e}")
@@ -244,7 +226,8 @@ class Circuit:
 
     Coefficient c_i enters on the occupation ``inputs[i]`` of ``modes`` and
     should leave on the occupation ``targets[i]`` of ``out_modes``, with its
-    sign flipped when i is in ``negated``.  Each layer is
+    sign flipped when i is in ``negated``; a circuit has no c_i past its
+    ``inputs``.  Each layer is
     ``(SqueezerSpec or PdcSpec, a, b, g)``: the spec's two modes (or paths)
     and the index g of its coupling in (gamma1, gamma2).  The herald is one
     photon on every ``detected`` mode.  ``closed_form(g1, g2, w0, w1, w2)``
@@ -262,6 +245,17 @@ class Circuit:
     negated: tuple[int, ...]
     closed_form: Callable[..., float]
     paper_claim: Callable[[float, float], float] | None = None
+
+    @property
+    def balanced_input(self) -> InputCoefficients:
+        """Equal weights on every input: a teleport's default input."""
+        return InputCoefficients(*[1 / math.sqrt(len(self.inputs))] * len(self.inputs))
+
+    def check_inputs(self, coeffs: InputCoefficients) -> None:
+        """Raise ``FockError`` for a nonzero coefficient the circuit has no input for."""
+        for i, c in enumerate((coeffs.c0, coeffs.c1, coeffs.c2)):
+            if i >= len(self.inputs) and c != 0:
+                raise FockError(f"{self.name} requires c{i} = 0")
 
     @functools.cached_property
     def herald_cutoffs(self) -> tuple[int | float, ...]:
@@ -386,7 +380,9 @@ def run_circuit(
     ``cutoff=None`` runs at the herald cutoff of the input (see
     ``Circuit.herald_cutoffs``).  Zero coefficients add no term to the input
     or to the target, so a circuit's unused occupations need not fit under
-    the cutoff.
+    the cutoff; coefficients past its ``inputs`` are not read.  A circuit
+    whose ``out_modes`` are not its modes minus ``detected`` raises
+    ``ModeMismatchError`` before any layer runs.
     """
     cs = (coeffs.c0, coeffs.c1, coeffs.c2)
     psi, target, prob, out_state, fid = _run_batch(circuit, coeffs, [params], cutoff)
@@ -432,6 +428,11 @@ def _run_batch(
         cutoff = _herald_cutoff(circuit, cs)
         if cutoff == math.inf:
             raise FockError(f"no finite cutoff decides the herald of {circuit.name}")
+    rest = [m for m in circuit.modes if m not in circuit.detected]
+    if set(circuit.out_modes) != set(rest):
+        out, rest = (", ".join(map(str, ms)) for ms in (circuit.out_modes, rest))
+        raise ModeMismatchError(
+            f"{circuit.name}: out_modes ({out}) are not its modes minus detected ({rest})")
     psi = StateBatch.of(_basis_sum(circuit.modes, circuit.inputs, cs, cutoff), len(params))
     for spec, a, b, g in circuit.layers:
         apply = apply_type2_pdc if spec is PdcSpec else apply_two_mode_squeezer
@@ -490,9 +491,10 @@ NLS = Circuit(
     ),
 )
 
-# the same setup teleports c0|0> + c1|1>: the NLS circuit with c2 = 0
+# the same setup teleports c0|0> + c1|1>: the NLS circuit without the c2 input
 QUBIT_TELEPORT = replace(
-    NLS, name="teleport-qubit", paper_claim=lambda g1, g2: 2.0 * (1 - g1) * (1 - g2) * g2
+    NLS, name="teleport-qubit", inputs=NLS.inputs[:2], targets=NLS.targets[:2], negated=(),
+    paper_claim=lambda g1, g2: 2.0 * (1 - g1) * (1 - g2) * g2,
 )
 
 # two type-II PDC layers on polarized paths; a four-fold coincidence on
@@ -511,6 +513,9 @@ QUTRIT_TELEPORT = Circuit(
     ),
     paper_claim=lambda g1, g2: 3.0 * ((1 - g1) ** 2 * (1 - g2) ** 2) * g2 * g2,
 )
+
+# the teleports by name: gamma1 follows from gamma2 by the teleport constraint
+TELEPORTS = {c.name: c for c in (QUBIT_TELEPORT, QUTRIT_TELEPORT)}
 
 
 def run_nls(
@@ -535,7 +540,7 @@ def run_qubit_teleport(
     gamma2: float,
     cutoff: int | None = None,
 ) -> ProtocolResult:
-    """Teleport c0|0> + c1|1> through a squeezed-vacuum channel.
+    """Teleport c0|0> + c1|1> through a squeezed-vacuum channel; c2 must be 0.
 
     gamma1 follows from the teleport constraint; the herald is one photon
     in each of modes 1 and 2.  The paper's doubled success probability is
@@ -543,15 +548,8 @@ def run_qubit_teleport(
     computed when ``herald_distribution`` is first read.  ``cutoff=None``
     is the herald cutoff, 1.
     """
-    _require_qubit(coeffs)
-    coeffs = coeffs.normalized()
-    params = GateParams(solve_teleport_constraint(gamma2), gamma2)
-    return run_circuit(QUBIT_TELEPORT, coeffs, params, cutoff)
-
-
-def _require_qubit(coeffs: InputCoefficients) -> None:
-    if abs(coeffs.c2) != 0:
-        raise FockError("qubit teleport requires c2 = 0")
+    QUBIT_TELEPORT.check_inputs(coeffs)
+    return run_circuit(QUBIT_TELEPORT, coeffs.normalized(), GateParams.teleport(gamma2), cutoff)
 
 
 def run_qutrit_teleport(
@@ -565,37 +563,25 @@ def run_qutrit_teleport(
     H2, V2.  Output lives on path 3 (modes H3, V3).  ``cutoff=None`` is the
     herald cutoff, 1.
     """
-    coeffs = coeffs.normalized()
-    params = GateParams(solve_teleport_constraint(gamma2), gamma2)
-    return run_circuit(QUTRIT_TELEPORT, coeffs, params, cutoff)
+    QUTRIT_TELEPORT.check_inputs(coeffs)
+    return run_circuit(QUTRIT_TELEPORT, coeffs.normalized(), GateParams.teleport(gamma2), cutoff)
+
+
+def run_teleport(
+    protocol: str, coeffs: InputCoefficients, gamma2: float, cutoff: int | None = None
+) -> ProtocolResult:
+    """The teleport ``TELEPORTS[protocol]``, as its runner above runs it.
+
+    Each runner calls ``normalized`` itself: a warning then names its caller.
+    """
+    if protocol not in TELEPORTS:
+        raise FockError(f"unknown teleport protocol {protocol!r}")
+    circuit = TELEPORTS[protocol]
+    circuit.check_inputs(coeffs)
+    return run_circuit(circuit, coeffs.normalized(), GateParams.teleport(gamma2), cutoff)
 
 
 # -- optimization and sweeps --------------------------------------------------
-
-_BALANCED_QUBIT = InputCoefficients(1 / math.sqrt(2), 1 / math.sqrt(2))
-_BALANCED_QUTRIT = InputCoefficients(
-    1 / math.sqrt(3), 1 / math.sqrt(3), 1 / math.sqrt(3)
-)
-
-# (runner, balanced input, default cutoff); every default is None, the
-# herald cutoff
-_RUNNERS = {
-    "teleport-qubit": (run_qubit_teleport, _BALANCED_QUBIT, None),
-    "teleport-qutrit": (run_qutrit_teleport, _BALANCED_QUTRIT, None),
-}
-_TELEPORT_CIRCUITS = {c.name: c for c in (QUBIT_TELEPORT, QUTRIT_TELEPORT)}
-
-
-def _teleport_probability(protocol: str, gamma2: float, cutoff: int | None) -> float:
-    # infeasible couplings (gamma1 >= 1) count as zero success, so ranges
-    # extending past the feasibility boundary remain searchable; any other
-    # failure of the run is an error
-    runner, coeffs, _ = _RUNNERS[protocol]
-    try:
-        solve_teleport_constraint(gamma2)
-    except FockError:
-        return 0.0
-    return runner(coeffs, gamma2, cutoff).success_probability
 
 
 def _feasible_limit(lo: float, hi: float) -> float:
@@ -636,10 +622,13 @@ def optimize_teleport_success(
     point, and the range is first clipped to the couplings it accepts
     (gamma1 < 1, so gamma2 < 1/4): probes past that boundary would all
     score 0 and could walk the bracket there.  ``tolerance`` is the
-    absolute bracket width on gamma2.
+    absolute bracket width on gamma2 and must be positive.  Each probe runs
+    the balanced input: equal weights on the circuit's inputs.
     """
-    if protocol not in _RUNNERS:
+    if protocol not in TELEPORTS:
         raise FockError(f"unknown teleport protocol {protocol!r}")
+    if not tolerance > 0:
+        raise FockError(f"tolerance must be positive, got {tolerance}")
     lo, hi = gamma2_range
     if not (0.0 < lo <= hi < 0.5):
         raise FockError(f"gamma2 range must lie inside (0, 0.5), got {gamma2_range}")
@@ -647,26 +636,35 @@ def optimize_teleport_success(
         raise FockError(f"cutoff must be positive, got {cutoff}")
     solve_teleport_constraint(lo)  # gamma1 monotone: lo infeasible => all are
     hi = _feasible_limit(lo, hi)
-    if lo == hi:
-        return lo, _teleport_probability(protocol, lo, cutoff)
+    circuit = TELEPORTS[protocol]
+
+    def probability(g2: float) -> float:
+        # infeasible couplings (gamma1 >= 1) count as zero success, so ranges
+        # extending past the feasibility boundary remain searchable; any other
+        # failure of the run is an error
+        try:
+            params = GateParams.teleport(g2)
+        except FockError:
+            return 0.0
+        return float(_run_batch(circuit, circuit.balanced_input, [params], cutoff)[2][0])
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - (b - a) * invphi
     d = a + (b - a) * invphi
-    fc = _teleport_probability(protocol, c, cutoff)
-    fd = _teleport_probability(protocol, d, cutoff)
+    fc = probability(c)
+    fd = probability(d)
     while abs(b - a) > tolerance:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * invphi
-            fc = _teleport_probability(protocol, c, cutoff)
+            fc = probability(c)
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * invphi
-            fd = _teleport_probability(protocol, d, cutoff)
+            fd = probability(d)
     g2_star = 0.5 * (a + b)
-    return g2_star, _teleport_probability(protocol, g2_star, cutoff)
+    return g2_star, probability(g2_star)
 
 
 def sweep(
@@ -680,17 +678,16 @@ def sweep(
     The feasible points run through the circuit as one batch of at most
     ``SWEEP_CHUNK`` points at a time, which bounds the memory a long grid
     takes; every row equals the row of a separate run at its point.
-    ``cutoff=None`` is the herald cutoff of ``coeffs``.
+    ``cutoff=None`` is the herald cutoff of ``coeffs``, by default the
+    balanced input: equal weights on the circuit's inputs.
     """
-    if protocol not in _RUNNERS:
+    if protocol not in TELEPORTS:
         raise FockError(f"unknown teleport protocol {protocol!r}")
-    _, balanced, _ = _RUNNERS[protocol]
-    circuit = _TELEPORT_CIRCUITS[protocol]
-    coeffs = coeffs or balanced
+    circuit = TELEPORTS[protocol]
+    coeffs = coeffs or circuit.balanced_input
     shared_error = None
     try:
-        if circuit is QUBIT_TELEPORT:
-            _require_qubit(coeffs)
+        circuit.check_inputs(coeffs)
         coeffs = coeffs.normalized()
     except FockError as exc:
         shared_error = str(exc)
@@ -709,7 +706,7 @@ def sweep(
             row["gamma1"] = g2 / (1.0 - 2.0 * g2) ** 2
         if shared_error is None:
             try:
-                runs.append((row, GateParams(solve_teleport_constraint(g2), g2)))
+                runs.append((row, GateParams.teleport(g2)))
             except FockError as exc:
                 row["error"] = str(exc)
     for i in range(0, len(runs), SWEEP_CHUNK):

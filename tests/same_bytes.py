@@ -15,6 +15,13 @@ is printed too, so a difference can be located.  Cases whose outcome
 depends on a non-integer cutoff are hashed apart, on the
 ``non-integer-cutoff`` line, and are not part of ``corpus``.
 
+``--cases PATH`` also writes one line per case: its section, its context
+(the runner or protocol, coefficients, cutoff or grid) and a SHA-256 of its
+items.  The printed hashes do not depend on it, and a plain ``diff`` of the
+files from two checkouts lists the cases that moved:
+
+    PYTHONPATH=src python tests/same_bytes.py --cases cases.txt
+
 The ``heralded`` line, also apart from ``corpus``, hashes only what the
 herald decides and no cutoff at or above the herald cutoff changes:
 probability, fidelity and closed form, output and target rows and
@@ -28,6 +35,7 @@ The file name does not match ``test_*.py``, so pytest does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -87,11 +95,23 @@ class Section:
     def __init__(self, name: str):
         self.name = name
         self.hash = hashlib.sha256()
+        self.cases = []  # (context, SHA-256 of the case's items)
+
+    def case(self, *context, hashed: bool = True) -> None:
+        """Start a case labelled ``context``, which joins the hash unless not ``hashed``."""
+        self.cases.append((context, hashlib.sha256()))
+        if hashed:
+            self.add(*context)
 
     def add(self, *items) -> None:
+        hashes = (self.hash, self.cases[-1][1]) if self.cases else (self.hash,)
         for item in items:
-            self.hash.update(item if isinstance(item, bytes) else repr(item).encode())
-            self.hash.update(b"\0")
+            for h in hashes:
+                h.update(item if isinstance(item, bytes) else repr(item).encode())
+                h.update(b"\0")
+
+    def case_lines(self) -> list[str]:
+        return [f"{self.name}\t{context!r}\t{h.hexdigest()}\n" for context, h in self.cases]
 
     def state(self, state) -> None:
         """Modes, cutoff, ledger, rows and signed amplitude bytes of a state or batch."""
@@ -122,7 +142,7 @@ def runners(sec: Section, cutoffs) -> None:
     for runner, args in calls:
         for coeffs in COEFFS:
             for cutoff in cutoffs(runner):
-                sec.add(runner.__name__, coeffs, cutoff)
+                sec.case(runner.__name__, coeffs, cutoff)
                 res = sec.outcome(runner, *args(coeffs, cutoff))
                 if res is None:
                     continue
@@ -153,11 +173,11 @@ def sweeps(sec: Section) -> None:
         for grid in grids:
             for cutoff in (None, *cutoffs):
                 for coeffs in (None, *COEFFS[:4], COEFFS[8], COEFFS[10], COEFFS[11]):
-                    sec.add(protocol, grid, cutoff, coeffs)
+                    sec.case(protocol, grid, cutoff, coeffs)
                     sec.add(sec.outcome(sweep, protocol, grid, cutoff, coeffs))
         for rng, tol, cutoff in (((0.02, 0.24), 1e-4, None), ((0.1, 0.45), 1e-3, 4),
                                  ((0.2, 0.4), 1e-3, 2), ((0.05, 0.1), 1e-2, 0)):
-            sec.add(protocol, rng, tol, cutoff)
+            sec.case(protocol, rng, tol, cutoff)
             sec.add(sec.outcome(optimize_teleport_success, protocol, rng, tol, cutoff))
 
 
@@ -195,6 +215,7 @@ def cli(sec: Section) -> None:
              "--cutoff", "0", "--format", fmt],
         ]
     for argv in argvs:
+        sec.case(argv, hashed=False)  # hashed below, after what running it raises
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = sec.outcome(main, argv)
@@ -217,6 +238,7 @@ def kernels(sec: Section, seed: int = 20260) -> None:
     flat = tuple(ModeLabel(p) for p in range(1, 4))
     pol = tuple(ModeLabel(p, q) for p in (1, 2, 3) for q in "HV")
     for case in range(60):
+        sec.case("random", case, hashed=False)
         cutoff = int(rng.integers(1, 9))
         n_terms = int(rng.integers(1, 9))
         terms = random_state(rng, flat, cutoff, n_terms, tiny=case % 3 == 0)
@@ -274,6 +296,7 @@ def kernels(sec: Section, seed: int = 20260) -> None:
             sec.state(apply_type2_pdc(StateBatch.of(qutrit, 2), [spec, PdcSpec(2, 3, g[3])]))
     # pruned terms join a nonzero ledger one by one, in insertion order
     for case in range(40):
+        sec.case("ledger", case, hashed=False)
         n_tiny = int(rng.integers(2, 14))
         terms = {(int(k),): float(x) for k, x in zip(rng.permutation(16)[:n_tiny],
                                                       rng.uniform(1e-9, 9.9e-9, n_tiny))}
@@ -286,6 +309,7 @@ def kernels(sec: Section, seed: int = 20260) -> None:
                   {(1.5,): 1.0}, {(True, 0): 1.0}, {(0, 0): 1.0, (9, 0): 1.0, (-1, 0): 1.0},
                   {(1.5, 0): 1.0, (9, 0): 1.0}, {(9, 0): None}, {(0, 0): None},
                   {5: 1.0}, {(0, 0): NAN}, {}):
+        sec.case("constructor", terms, hashed=False)
         st = sec.outcome(PureState, flat[:2], terms, 4)
         if st is not None:
             sec.state(st)
@@ -293,7 +317,7 @@ def kernels(sec: Section, seed: int = 20260) -> None:
 
 def non_integer_cutoffs(sec: Section) -> None:
     for cutoff in (2.7, 3.0, 8.5, 16.0):
-        sec.add(cutoff)
+        sec.case(cutoff)
         sec.state(sec.outcome(PureState, (ModeLabel(1),), {(2,): 1.0}, cutoff)
                   or PureState((ModeLabel(1),), {}, 0))
         sec.add(sec.outcome(PureState, (ModeLabel(1),), {(3,): 1.0}, cutoff) is None)
@@ -314,7 +338,7 @@ def heralded(sec: Section) -> None:
         for coeffs in COEFFS:
             args = (coeffs,) if g2 is None else (coeffs, g2)
             for cutoff in (None, *cutoffs):
-                sec.add(runner.__name__, coeffs, g2, cutoff)
+                sec.case(runner.__name__, coeffs, g2, cutoff)
                 kwargs = {} if cutoff is None else {"cutoff": cutoff}
                 res = sec.outcome(runner, *args, **kwargs)
                 if res is None:
@@ -330,17 +354,17 @@ def heralded(sec: Section) -> None:
         for grid in grids:
             for cutoff in (None, *cutoffs):
                 for coeffs in (None, *COEFFS[:4], COEFFS[8], COEFFS[10]):
-                    sec.add(protocol, grid, cutoff, coeffs)
+                    sec.case(protocol, grid, cutoff, coeffs)
                     rows = sec.outcome(sweep, protocol, grid, cutoff, coeffs) or []
                     sec.add([(r["gamma2"], r["probability"], r["fidelity"], r["error"])
                              for r in rows])
         for rng, tol, cutoff in (((0.02, 0.24), 1e-4, None), ((0.1, 0.45), 1e-3, None),
                                  ((0.1, 0.45), 1e-3, 4)):
-            sec.add(protocol, rng, tol, cutoff)
+            sec.case(protocol, rng, tol, cutoff)
             sec.add(sec.outcome(optimize_teleport_success, protocol, rng, tol, cutoff))
 
 
-def main_corpus() -> None:
+def main_corpus(cases_path: str | None = None) -> None:
     warnings.simplefilter("ignore")
     sections = [Section(n) for n in ("runners", "sweeps", "cli", "kernels")]
     runners(sections[0], integer_cutoffs)
@@ -359,7 +383,13 @@ def main_corpus() -> None:
     heralded(decided)
     print(f"{decided.name:20} {decided.hash.hexdigest()}")
     print(f"{'corpus':20} {total.hexdigest()}")
+    if cases_path is not None:
+        with open(cases_path, "w") as f:
+            for sec in (*sections, apart, decided):
+                f.writelines(sec.case_lines())
 
 
 if __name__ == "__main__":
-    main_corpus()
+    parser = argparse.ArgumentParser(description="Same-bytes corpus hashes.")
+    parser.add_argument("--cases", metavar="PATH", help="write one line per case to PATH")
+    main_corpus(parser.parse_args().cases)

@@ -34,18 +34,25 @@ from fockherald import (
     optimize_teleport_success,
     project,
     run_qubit_teleport,
+    run_qutrit_teleport,
     sweep,
 )
 from fockherald import protocols
 from fockherald.cli import main
-from fockherald.protocols import _RUNNERS, SWEEP_CHUNK
+from fockherald.protocols import SWEEP_CHUNK
 
 M = tuple(ModeLabel(p) for p in range(3))
+
+# each teleport's runner and its balanced input, written out
+RUNNERS = {
+    "teleport-qubit": (run_qubit_teleport, InputCoefficients(1 / math.sqrt(2), 1 / math.sqrt(2))),
+    "teleport-qutrit": (run_qutrit_teleport, InputCoefficients(*[1 / math.sqrt(3)] * 3)),
+}
 
 
 def per_point_rows(protocol, grid, cutoff=None, coeffs=None):
     """``sweep``'s rows from one runner call per point."""
-    runner, balanced, default_cutoff = _RUNNERS[protocol]
+    runner, balanced = RUNNERS[protocol]
     rows = []
     for g2 in grid:
         row = {"gamma2": g2, "gamma1": None, "probability": None, "fidelity": None,
@@ -53,7 +60,7 @@ def per_point_rows(protocol, grid, cutoff=None, coeffs=None):
         if 0.0 < g2 < 0.5:
             row["gamma1"] = g2 / (1.0 - 2.0 * g2) ** 2
         try:
-            res = runner(coeffs or balanced, g2, default_cutoff if cutoff is None else cutoff)
+            res = runner(coeffs or balanced, g2, cutoff)
             row.update(gamma1=res.gamma1, probability=res.success_probability,
                        fidelity=res.fidelity, leaked_norm=res.leaked_norm)
         except FockError as exc:
@@ -76,7 +83,7 @@ def coefficients():
 
 
 @given(
-    protocol=st.sampled_from(sorted(_RUNNERS)),
+    protocol=st.sampled_from(sorted(RUNNERS)),
     grid=grid_points(),
     repeats=st.lists(st.integers(min_value=0, max_value=9), max_size=3),
     cutoff=st.integers(min_value=1, max_value=16),

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from fockherald import InputCoefficients
 from fockherald.cli import main
+from fockherald.protocols import run_teleport
 
 G2_CLOSED = (3 - math.sqrt(2)) / 7
 G1_CLOSED = (21 - 7 * math.sqrt(2)) / (9 + 4 * math.sqrt(2))
@@ -60,6 +62,17 @@ def test_run_teleport_qubit(capsys):
     assert data["paper_claimed_probability"] == pytest.approx(
         2 * data["success_probability"], rel=1e-9
     )
+
+
+@pytest.mark.parametrize("protocol, coeffs", [
+    ("teleport-qubit", ("--c0", "0.6", "--c1", "0.8")),
+    ("teleport-qutrit", ("--c0", "0.6", "--c1", "0.48", "--c2", "0.64")),
+])
+def test_run_teleport_dispatches_through_the_table(capsys, protocol, coeffs):
+    code, out, _ = run_cli(capsys, "run", protocol, "--gamma2", "0.2", *coeffs)
+    assert code == 0
+    cs = InputCoefficients(*(float(x) for x in coeffs[1::2]))
+    assert out == run_teleport(protocol, cs, 0.2).to_json() + "\n"
 
 
 def test_run_nls_explicit_gammas(capsys):

@@ -64,7 +64,7 @@ def heralded_fields(res):
 
 def test_herald_cutoffs_of_the_three_circuits():
     assert NLS.herald_cutoffs == (1, 1, 2)
-    assert QUBIT_TELEPORT.herald_cutoffs == (1, 1, 2)
+    assert QUBIT_TELEPORT.herald_cutoffs == (1, 1)
     assert QUTRIT_TELEPORT.herald_cutoffs == (1, 1, 1)
     assert FOUR_MODE.herald_cutoffs == (1, 2)
 

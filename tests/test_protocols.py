@@ -1,6 +1,8 @@
 import cmath
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,18 +25,23 @@ from fockherald import (
     superpose,
     sweep,
 )
+from fockherald import protocols
 from fockherald.protocols import (
     NLS,
     QUBIT_TELEPORT,
     QUTRIT_TELEPORT,
+    TELEPORTS,
     _basis_sum,
     fix_global_phase,
     run_circuit,
+    run_teleport,
 )
+from fockherald.states import ModeMismatchError
 
 G2_CLOSED = (3 - math.sqrt(2)) / 7
 G1_CLOSED = (21 - 7 * math.sqrt(2)) / (9 + 4 * math.sqrt(2))
 M1 = ModeLabel(1)
+NAMED_RUNNERS = {"teleport-qubit": run_qubit_teleport, "teleport-qutrit": run_qutrit_teleport}
 
 
 # -- parameter solvers --------------------------------------------------------
@@ -51,6 +58,35 @@ def test_solved_params_residuals():
     g1, g2 = gp.gamma1, gp.gamma2
     assert abs(math.sqrt(g2) - math.sqrt(g1) * (1 - 2 * g2)) < 1e-12
     assert abs(math.sqrt(g2) + g1 * math.sqrt(g2) * (3 * g2 - 2)) < 1e-12
+
+
+def _bisect_nls_gamma2() -> float:
+    # gamma1*(2-3*gamma2) = 1 with gamma1 = g2/(1-2 g2)^2, cleared of poles,
+    # bisected for its root on (0, 1/2)
+    def residual(g2: float) -> float:
+        return g2 * (2.0 - 3.0 * g2) - (1.0 - 2.0 * g2) ** 2
+
+    lo, hi = 1e-9, 0.5 - 1e-9
+    flo = residual(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = residual(mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0) == (fmid < 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_solved_params_match_a_bisection_of_the_coupling_equations():
+    # the library returns the closed forms; a root search confirms them
+    gp = solve_nls_params()
+    g2 = _bisect_nls_gamma2()
+    assert abs(gp.gamma2 - g2) <= 1e-13
+    assert abs(gp.gamma1 - solve_teleport_constraint(g2)) <= 1e-13
+    assert (gp.gamma1, gp.gamma2) == (G1_CLOSED, G2_CLOSED)
 
 
 def test_teleport_constraint_closed_form():
@@ -172,6 +208,59 @@ def test_qubit_requires_zero_c2():
         run_qubit_teleport(InputCoefficients(1, 0, 1), 0.1)
 
 
+def test_qubit_teleport_is_nls_without_the_c2_input():
+    assert QUBIT_TELEPORT.inputs == NLS.inputs[:2]
+    assert QUBIT_TELEPORT.targets == NLS.targets[:2]
+    assert (QUBIT_TELEPORT.layers, QUBIT_TELEPORT.detected) == (NLS.layers, NLS.detected)
+    assert list(TELEPORTS.values()) == [QUBIT_TELEPORT, QUTRIT_TELEPORT]
+    assert all(name == c.name for name, c in TELEPORTS.items())
+
+
+def test_balanced_input_is_equal_weights_on_the_inputs():
+    assert QUBIT_TELEPORT.balanced_input == InputCoefficients(1 / math.sqrt(2), 1 / math.sqrt(2))
+    assert QUTRIT_TELEPORT.balanced_input == InputCoefficients(*[1 / math.sqrt(3)] * 3)
+
+
+@pytest.mark.filterwarnings("ignore:input coefficients renormalized")
+def test_nan_coefficient_adds_no_c2_term_to_the_qubit():
+    # normalization spreads the NaN to c2, which the qubit has no input for
+    coeffs = InputCoefficients(math.nan, 1.0)
+    for cutoff in (1, None):
+        res = run_qubit_teleport(coeffs, 0.01, cutoff)
+        assert res.output_state.cutoff == res.target_state.cutoff == 1
+    row, = sweep("teleport-qubit", [0.01], 1, coeffs)
+    assert row["error"] is None
+
+
+def test_missing_input_checked_before_normalization_and_couplings():
+    # c2 on the qubit fails before the renormalization warning and before
+    # the infeasible coupling gamma2 = 0.3 does
+    bad = InputCoefficients(3.0, 4.0, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (run_qubit_teleport, lambda *a: run_teleport("teleport-qubit", *a)):
+            with pytest.raises(FockError, match=r"^teleport-qubit requires c2 = 0$"):
+                run(bad, 0.3)
+        rows = sweep("teleport-qubit", [0.1, 0.3], None, bad)
+    assert [r["error"] for r in rows] == ["teleport-qubit requires c2 = 0"] * 2
+    assert run_qutrit_teleport(InputCoefficients(0.6, 0.0, 0.8), 0.1).fidelity == \
+        pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(TELEPORTS))
+def test_run_teleport_is_the_named_runner(name):
+    runner = NAMED_RUNNERS[name]
+    coeffs = InputCoefficients(0.6, 0.8)
+    for cutoff in (None, 3):
+        assert run_teleport(name, coeffs, 0.1, cutoff).to_json() == \
+            runner(coeffs, 0.1, cutoff).to_json()
+
+
+def test_run_teleport_unknown_protocol():
+    with pytest.raises(FockError, match="unknown teleport protocol 'nls'"):
+        run_teleport("nls", InputCoefficients(0.6, 0.8), 0.1)
+
+
 def test_qubit_herald_distribution_recorded():
     res = run_qubit_teleport(InputCoefficients(0.6, 0.8), 0.05)
     dist = dict(res.herald_distribution)
@@ -288,6 +377,20 @@ def test_optimizer_clips_range_to_feasible_couplings():
     assert p_star >= 0.0711
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan])
+def test_optimizer_rejects_a_tolerance_that_is_not_positive(tolerance):
+    # 0 and -1 never close the bracket; NaN used to return the midpoint
+    with pytest.raises(FockError, match="tolerance must be positive"):
+        optimize_teleport_success("teleport-qubit", (0.02, 0.24), tolerance=tolerance)
+
+
+@pytest.mark.parametrize("name", sorted(TELEPORTS))
+def test_optimizer_scores_the_balanced_input_as_its_runner_does(name):
+    runner = NAMED_RUNNERS[name]
+    g2_star, p_star = optimize_teleport_success(name, (0.02, 0.24), tolerance=1e-3)
+    assert p_star == runner(TELEPORTS[name].balanced_input, g2_star).success_probability
+
+
 def test_optimizer_rejects_cutoff_zero():
     with pytest.raises(FockError, match="cutoff"):
         optimize_teleport_success("teleport-qubit", (0.02, 0.2), cutoff=0)
@@ -383,6 +486,19 @@ def test_input_coefficients_renormalized_with_warning():
     assert res.fidelity == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("call", [
+    lambda c: run_nls(c),
+    lambda c: run_qubit_teleport(c, 0.1),
+    lambda c: run_qutrit_teleport(c, 0.1),
+    lambda c: run_teleport("teleport-qutrit", c, 0.1),
+    lambda c: sweep("teleport-qubit", [0.1], None, c),
+])
+def test_renormalization_warning_points_at_the_caller(call):
+    with pytest.warns(UserWarning, match="renormalized") as record:
+        call(InputCoefficients(3, 4))
+    assert [w.filename for w in record] == [__file__]
+
+
 # -- one-step circuit inputs and targets ---------------------------------------
 
 _PART = st.one_of(
@@ -455,3 +571,21 @@ def test_sweep_non_integer_cutoff_is_an_error_row():
     assert rows[0]["error"] == "cutoff must be an integer, got 2.7"
     assert rows[0]["probability"] is None
     assert "unphysical squeezer" in rows[1]["error"]
+
+
+# -- circuit records are checked before they run ------------------------------------
+
+
+@pytest.mark.parametrize("circuit, message", [
+    (replace(NLS, detected=(M1,)),
+     r"nls: out_modes \(3\) are not its modes minus detected \(2, 3\)"),
+    (replace(NLS, out_modes=(ModeLabel(2),)),
+     r"nls: out_modes \(2\) are not its modes minus detected \(3\)"),
+])
+def test_inconsistent_circuit_rejected_before_any_layer(circuit, message, monkeypatch):
+    def no_layer(*args):
+        raise AssertionError("a layer ran")
+
+    monkeypatch.setattr(protocols, "apply_two_mode_squeezer", no_layer)
+    with pytest.raises(ModeMismatchError, match=message):
+        run_circuit(circuit, InputCoefficients(0.6, 0.8), GateParams(0.3, 0.2), 4)
