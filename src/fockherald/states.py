@@ -181,18 +181,15 @@ def _merge_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.
 def _row_sums(values: np.ndarray, support: np.ndarray | None) -> np.ndarray:
     """Each row of ``values`` summed over its ``support`` entries, in column order.
 
-    A row's sum rounds exactly as ``values[b][support[b]].sum()`` does: numpy
-    sums pairwise, so the zeros of entries outside the support must not take
-    part, and a 2-d ``sum(axis=1)`` may add column by column instead.
-    ``support=None`` means every entry of every row.
+    A row's sum rounds exactly as ``values[b][support[b]].sum()`` does.  numpy
+    sums pairwise, so entries outside the support must not take part: a
+    support gets one 1-d ``sum`` per row.  ``support=None`` (every entry)
+    gets one ``sum(axis=1)`` in C order, which sums each row pairwise as a
+    1-d ``sum`` does; on F order numpy adds column by column instead.
     """
     if support is None:
-        return np.fromiter(map(np.ndarray.sum, values), values.dtype, len(values))
-    flat = values[support]
-    ends = np.cumsum(np.count_nonzero(support, axis=1)).tolist()
-    return np.fromiter(
-        (flat[a:b].sum() for a, b in zip([0] + ends[:-1], ends)), values.dtype, len(ends)
-    )
+        return np.ascontiguousarray(values).sum(axis=1)
+    return np.array([row[on].sum() for row, on in zip(values, support)], values.dtype)
 
 
 def _check_bounds(occupations: np.ndarray, cutoff: int, names: list | None = None) -> None:
@@ -553,7 +550,11 @@ def inner_product(a: StateBatch, b: PureState) -> complex | np.ndarray:
 
 
 def _overlaps(batch: StateBatch, b: PureState) -> list[complex]:
-    """<a|b> for every state a of ``batch``."""
+    """<a|b> for every state a of ``batch``, each one 1-d product summed by a 1-d ``sum``.
+
+    The products of all states are one flat 1-d product: numpy's complex
+    product rounds differently on a 2-d broadcast.
+    """
     if batch.modes != b.modes:
         raise ModeMismatchError("inner_product requires identical mode sets")
     # rows are unique within each state, so a key shared by both appears
@@ -564,18 +565,12 @@ def _overlaps(batch: StateBatch, b: PureState) -> list[complex]:
     sorted_keys = keys.take(order)
     shared = (sorted_keys[1:] == sorted_keys[:-1]).nonzero()[0]
     rows_a = order.take(shared)
-    rows_b = order.take(shared + 1) - len(batch.occupations)
-    # state by state over 1-d arrays of its shared terms: numpy's complex
-    # product rounds differently on other array shapes
+    amp_b = b.amplitudes.take(order.take(shared + 1) - len(batch.occupations))
     if batch.support is None:
-        amp_b = b.amplitudes.take(rows_b)
-        return [complex((amp.take(rows_a).conj() * amp_b).sum()) for amp in batch._amps]
-    sums = []
-    for amp, support in zip(batch._amps, batch.support):
-        on = support.take(rows_a)
-        ra, rb = rows_a[on], rows_b[on]
-        sums.append(complex((amp.take(ra).conj() * b.amplitudes.take(rb)).sum()))
-    return sums
+        prods = batch._amps.take(rows_a, axis=1).conj().ravel() * np.tile(amp_b, len(batch))
+        return _row_sums(prods.reshape(len(batch), len(rows_a)), None).tolist()
+    return [complex((amp.take(rows_a[on]).conj() * amp_b[on]).sum())
+            for amp, on in zip(batch._amps, batch.support.take(rows_a, axis=1))]
 
 
 def normalize(a: StateBatch) -> tuple[StateBatch, float | np.ndarray]:

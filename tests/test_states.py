@@ -13,6 +13,7 @@ from fockherald import (
     ModeMismatchError,
     PureState,
     SqueezerSpec,
+    StateBatch,
     ZeroNormError,
     apply_two_mode_squeezer,
     inner_product,
@@ -22,6 +23,7 @@ from fockherald import (
     tensor,
     vacuum_state,
 )
+from fockherald.states import _overlaps, _row_sums
 
 M1, M2, M3 = ModeLabel(1), ModeLabel(2), ModeLabel(3)
 
@@ -367,3 +369,48 @@ def test_constructor_rejects_a_non_integer_cutoff(cutoff):
 def test_constructor_accepts_integer_like_cutoffs():
     assert PureState((M1,), {(2,): 1.0}, np.int64(3)).cutoff == 3
     assert type(PureState((M1,), {(1,): 1.0}, np.int64(3)).cutoff) is int
+
+
+# widths around numpy's pairwise-sum blocks (8 terms, 128 per recursion leaf)
+WIDTHS = st.one_of(st.sampled_from([0, 7, 8, 9, 128, 129, 256]), st.integers(0, 300))
+LAYOUTS = st.sampled_from(["C", "F", "sliced"])
+
+
+def _matrix(seed, rows, cols, layout, cplx):
+    """Random values over six decades, laid out C-ordered, F-ordered or as a strided slice."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, 2 * cols + 1) if layout == "sliced" else (rows, cols)
+
+    def part():
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+    values = part() + 1j * part() if cplx else part()
+    if layout == "sliced":
+        return values[:, 1::2]
+    return np.asfortranarray(values) if layout == "F" else values
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), WIDTHS, LAYOUTS, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_row_sums_round_as_one_sum_per_row(seed, rows, cols, layout, cplx):
+    values = _matrix(seed, rows, cols, layout, cplx)
+    want = np.array([values[b].copy().sum() for b in range(rows)], dtype=values.dtype)
+    assert _row_sums(values, None).tobytes() == want.tobytes()
+    support = np.random.default_rng(seed + 1).random(values.shape) < 0.7
+    want = np.array([values[b][support[b]].sum() for b in range(rows)], dtype=values.dtype)
+    assert _row_sums(values, support).tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), WIDTHS, LAYOUTS)
+@settings(max_examples=200, deadline=None)
+def test_overlaps_round_as_one_product_and_sum_per_state(seed, rows, cols, layout):
+    amps = _matrix(seed, rows, cols, layout, True)
+    batch = StateBatch.__new__(StateBatch)
+    batch._set((M1,), np.arange(cols, dtype=np.int64)[:, None], amps, cols, np.zeros(rows), None)
+    rng = np.random.default_rng(seed + 1)
+    picked = np.sort(rng.permutation(cols + 4)[:rng.integers(0, cols + 5)])
+    b = PureState((M1,), {(int(k),): complex(*rng.normal(size=2)) for k in picked}, cols + 4)
+    shared = picked[picked < cols]
+    amp_b = np.array([b.amplitude((k,)) for k in shared.tolist()], dtype=complex)
+    want = [complex((amps[i].take(shared).conj() * amp_b).sum()) for i in range(rows)]
+    assert np.array(_overlaps(batch, b)).tobytes() == np.array(want, dtype=complex).tobytes()
