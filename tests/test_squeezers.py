@@ -148,7 +148,7 @@ def squeezer_cases(draw):
 @settings(max_examples=100, deadline=None)
 def test_vectorised_kernel_matches_scalar_reference(case):
     # tolerances fixed from float64 rounding; the kernel multiplies and adds
-    # in the loop's order, so only the norm sums behind leaked_norm differ
+    # in the loop's order, and sums the norms behind leaked_norm as it does
     state, spec = case
     norm = state.norm()
     fast = apply_two_mode_squeezer(state, spec)
