@@ -93,7 +93,8 @@ class ProtocolResult:
     """Conditional output with success probability and target fidelity.
 
     ``exact`` certifies the heralded result: the run's cutoff is at least
-    the circuit's herald cutoff for this input (``Circuit.herald_cutoffs``),
+    the circuit's herald cutoff for this input (``Circuit.herald_cutoffs``)
+    and the pre-herald ledger is finite (a NaN coefficient's terms join it),
     so ``success_probability``, ``fidelity`` and the output state's terms
     are what any larger cutoff gives, bit for bit.  ``leaked_norm`` is the
     pre-herald ledger: weight pushed past the cutoff anywhere, most of which
@@ -386,7 +387,7 @@ def run_circuit(
     """
     cs = (coeffs.c0, coeffs.c1, coeffs.c2)
     psi, target, prob, out_state, fid = _run_batch(circuit, coeffs, [params], cutoff)
-    exact = psi.cutoff >= _herald_cutoff(circuit, cs)
+    exact = psi.cutoff >= _herald_cutoff(circuit, cs) and math.isfinite(psi.leaked_norm[0])
     output = out_state[0]
     if exact:  # a fresh row: no weight the cutoff dropped could reach its herald
         output._set(output.modes, output.occupations, output._amps, output.cutoff,

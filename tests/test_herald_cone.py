@@ -258,6 +258,20 @@ def test_exact_in_json_and_pretty_output():
     assert "exact               : True" in text.splitlines()
 
 
+@pytest.mark.filterwarnings("ignore:input coefficients renormalized")
+@pytest.mark.parametrize(
+    "runner, gamma2", [(run_nls, None), (run_qubit_teleport, 0.1), (run_qutrit_teleport, 0.1)],
+    ids=["nls", "teleport-qubit", "teleport-qutrit"],
+)
+def test_a_nan_coefficient_is_never_exact(runner, gamma2):
+    # the NaN terms join the pre-herald ledger, so nothing certifies the run
+    for cutoff in (None, 8):
+        res = runner(InputCoefficients(math.nan, 1.0), gamma2, cutoff)
+        assert math.isnan(res.leaked_norm)
+        assert res.exact is False
+        assert json.loads(res.to_json())["exact"] is False
+
+
 def test_nls_has_no_cutoff_floor():
     # cutoff 1 decides the NLS herald when c2 = 0; with c2 != 0 the input
     # fails the bound check, as in the other runners
