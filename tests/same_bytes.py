@@ -10,7 +10,9 @@ hash as its parent.  The corpus covers the three runners (``to_json``,
 bytes) over cutoffs 0-64 with zero, signed-zero and NaN coefficients and
 their error messages, ``sweep`` grids, ``optimize_teleport_success``, the CLI
 (``run`` in every format, ``sweep``, ``params``, ``oracle-check``) and seeded
-random kernel cases on single states and on batches.  Each section's hash
+random kernel cases on single states and on batches, among them batches of
+a sweep chunk's size (24 and 32 states at cutoffs 1 and 16, with and without
+a support).  Each section's hash
 is printed too, so a difference can be located.  Cases whose outcome
 depends on a non-integer cutoff are hashed apart, on the
 ``non-integer-cutoff`` line, and are not part of ``corpus``.
@@ -39,6 +41,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import warnings
 
@@ -313,6 +316,39 @@ def kernels(sec: Section, seed: int = 20260) -> None:
         st = sec.outcome(PureState, flat[:2], terms, 4)
         if st is not None:
             sec.state(st)
+    batches(sec, rng, flat)
+
+
+def batches(sec: Section, rng, flat) -> None:
+    """Sweep-shaped batches: 24 and 32 states at cutoffs 1 and 16.
+
+    With ``pruned`` every third state is uncoupled in both layers, so it
+    raises no term and the batch carries a support; otherwise every state
+    has every term.
+    """
+    for size, cutoff, pruned in itertools.product((24, 32), (1, 16), (False, True)):
+        sec.case("batch", size, cutoff, pruned, hashed=False)
+        psi = PureState(flat, random_state(rng, flat, 1, 4), cutoff)
+        gammas = rng.uniform(0.2, 0.5, size=(2, size))
+        if pruned:
+            gammas[:, ::3] = 0.0
+        batch = apply_two_mode_squeezer(StateBatch.of(psi, size),
+                                        [SqueezerSpec(flat[1], flat[2], g) for g in gammas[0]])
+        batch = apply_two_mode_squeezer(batch,
+                                        [SqueezerSpec(flat[0], flat[1], g) for g in gammas[1]])
+        sec.state(batch)
+        sec.value(batch.norm_sq())
+        sec.value(inner_product(batch, psi))
+        sec.value(fidelity(batch, psi))
+        normed, norms = normalize(batch)
+        sec.state(normed)
+        sec.value(norms)
+        sec.state(fix_global_phase(batch))
+        for count in (0, 1):
+            out = project(batch, DetectionPattern({flat[0]: count}))
+            sec.state(out.conditional_state)
+            sec.value(out.probability)
+            sec.state(fix_global_phase(out.conditional_state))
 
 
 def non_integer_cutoffs(sec: Section) -> None:
