@@ -11,13 +11,17 @@ The kernel works on a batch of states over one occupation matrix (see
 running products (``np.cumprod``) over per-step factor matrices, one row
 per input term or per (term, lowering order) and one block per state, and
 the outputs that land on the same occupation are summed in a fixed order.
-The term structure is built once per batch and only the values per state;
-no per-term Python loop runs and no dict is built.  A slow
+The term structure (a ``_Layout`` of index arrays) depends only on the
+occupations, the cutoff and the mode pair.  A batch keeps its rows through
+pruning, so a circuit's layers see the same occupations at every coupling,
+and the last ``LAYOUT_MEMO`` layouts are kept and reused; each call computes
+only the values.  No per-term Python loop runs and no dict is built.  A slow
 series-exponential oracle is provided for cross-validation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +41,8 @@ from .states import (
     _row_sums,
     make_basis_state,
 )
+
+LAYOUT_MEMO = 8  # squeezer layouts kept: the four of a qutrit run, twice over
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,22 +79,28 @@ class PdcSpec:
             raise FockError(f"gamma must lie in [0, 1), got {self.gamma}")
 
 
-def _series(scale: np.ndarray, a: np.ndarray, b: np.ndarray, sign: int, length: int) -> np.ndarray:
-    """Running products of scale/t * sqrt(a + sign*t) * sqrt(b + sign*t).
-
-    Entry [r, i, t] holds the product over steps 1..t for scale[r], a[i] and
-    b[i] (column 0 is 1), computed as ``np.cumprod`` over the step factors in
-    the order the term-by-term loop multiplies them.
-    """
-    t = np.arange(1, length)
-    steps = sign * t
+def _roots(a: np.ndarray, b: np.ndarray, sign: int, length: int) -> np.ndarray:
+    """sqrt(a + sign*t) * sqrt(b + sign*t) for t = 1..length - 1, one row per entry of a, b."""
+    steps = sign * np.arange(1, length)
     with np.errstate(invalid="ignore"):  # negative roots only past a row's last step
         roots = np.sqrt(a[:, None] + steps)
         roots *= np.sqrt(b[:, None] + steps)
-    out = np.empty((len(scale), len(a), length))
+    return roots
+
+
+def _series(scale: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Running products of scale/t * roots[i, t - 1], flattened per scale.
+
+    Entry [r, i * length + t] holds the product over steps 1..t for
+    scale[r] and row i of ``roots`` (``_roots``; step 0 is 1), computed as
+    ``np.cumprod`` over the step factors in the order the term-by-term loop
+    multiplies them.
+    """
+    length = roots.shape[1] + 1
+    out = np.empty((len(scale), len(roots), length))
     out[:, :, 0] = 1.0
-    np.multiply(roots, (scale[:, None] / t)[:, None, :], out=out[:, :, 1:])
-    return out.cumprod(axis=2, out=out)
+    np.multiply(roots, (scale[:, None] / np.arange(1, length))[:, None, :], out=out[:, :, 1:])
+    return out.cumprod(axis=2, out=out).reshape(len(scale), -1)
 
 
 def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,6 +134,100 @@ def _line_weights(n_modes: int, cutoff: int, ia: int, ib: int) -> np.ndarray:
     return np.array([line, head], dtype=np.int64)
 
 
+@dataclass(frozen=True, slots=True)
+class _Layout:
+    """The index arrays of one squeezer on one occupation matrix, all read-only.
+
+    Lowering row r is (input term ``term[r]``, order k) and raising
+    contribution c is (lowering row ``row[c]``, order j).  ``low_at``,
+    ``decay_at`` and ``raise_at`` locate each row's and contribution's
+    factors in the flattened lowering series, the decay table and the
+    flattened raising series; ``group`` is each contribution's output
+    column, and ``occupations`` the output rows.  ``by_line`` lists the
+    input rows line by line (fixed spectators and n_a - n_b), each line
+    starting at ``line_starts``, and ``out_line`` is each output's line.
+    Every caller shares a layout, so its arrays are read-only.
+    """
+
+    term: np.ndarray
+    low_roots: np.ndarray
+    low_at: np.ndarray
+    decay_at: np.ndarray
+    row: np.ndarray
+    raise_roots: np.ndarray
+    raise_at: np.ndarray
+    group: np.ndarray
+    occupations: np.ndarray
+    by_line: np.ndarray
+    line_starts: np.ndarray
+    out_line: np.ndarray
+
+    def __post_init__(self):
+        for name in self.__slots__:
+            getattr(self, name).setflags(write=False)
+
+
+@functools.lru_cache(maxsize=LAYOUT_MEMO)
+def _layout(occ_bytes: bytes, n_modes: int, cutoff: int, ia: int, ib: int) -> _Layout:
+    """The layout of squeezing columns ``ia``, ``ib`` of the occupations ``occ_bytes``.
+
+    It depends on the occupations, the cutoff and the mode pair only, not
+    on the couplings or the amplitudes, so it is built once per key; the
+    key carries the mode count because the bytes do not.
+    """
+    occ = np.frombuffer(occ_bytes, dtype=np.int64).reshape(-1, n_modes)
+    m, n = occ[:, ia], occ[:, ib]
+
+    # lowering exp(-s ab): term i at order k = 0..min(m, n), one row per term
+    min_mn = np.minimum(m, n)
+    term, k = _ragged(min_mn + 1)
+    width = int(min_mn.max(initial=0)) + 1
+    low_roots = _roots(m + 1, n + 1, -1, width)
+    low_at = term * width + k
+    mp, np_ = m.take(term) - k, n.take(term) - k
+
+    # raising exp(s a†b†): row r = (term, k) feeds j = 0..cutoff - max(mp, np_).
+    # A row's series depends only on its (mp, np_), which few rows differ in,
+    # so it is computed once per distinct pair.
+    cap = cutoff - np.maximum(mp, np_)
+    row, j = _ragged(cap + 1)
+    width = int(cap.max(initial=0)) + 1
+    first, pair_of = _group_by_key(mp * (cutoff + 1) + np_)
+    raise_roots = _roots(mp.take(first), np_.take(first), 1, width)
+    raise_at = pair_of.take(row) * width + j
+
+    # output (mp + j, np_ + j) lies on its input term's line (fixed
+    # spectators and n_a - n_b) at distance min(mp, np_) + j from the line's
+    # base, the term lowered min(m, n) times.  Every term of a line reaches
+    # all cutoff + 1 - |m - n| outputs of that line, so the outputs are
+    # numbered line by line, in the order of ``_line_weights``, and one
+    # stable sort by each output's head puts them in key order.
+    line_key, head = _line_weights(n_modes, cutoff, ia, ib) @ occ.T
+    rep, line_of = _group_by_key(line_key)
+    length = cutoff + 1 - np.abs(m - n).take(rep)
+    start = length.cumsum() - length
+    out_line, pos = _ragged(length)
+    src = rep.take(out_line)  # the input term at the base of each output's line
+    head = (head - min_mn).take(src) + pos
+    # a head is below (cutoff + 1) ** (min(ia, ib) + 1); on 16 bits numpy sorts by radix
+    head = head.astype(np.min_scalar_type((cutoff + 1) ** (min(ia, ib) + 1)))
+    order = head.argsort(kind="stable")
+    column = np.empty_like(order)  # each output's column in key order
+    column[order] = np.arange(len(order))
+    group = column.take(((start.take(line_of) + min_mn).take(term) - k).take(row) + j)
+    src, pos = src.take(order), pos.take(order)
+    out_occ = occ.take(src, axis=0)
+    shift = pos - min_mn.take(src)
+    out_occ[:, ia] += shift
+    out_occ[:, ib] += shift
+
+    by_line = line_of.argsort(kind="stable")
+    per_line = np.bincount(line_of, minlength=len(rep))
+    line_starts = per_line.cumsum() - per_line
+    return _Layout(term, low_roots, low_at, mp + np_ + 1, row, raise_roots, raise_at, group,
+                   out_occ, by_line, line_starts, out_line.take(order))
+
+
 def apply_two_mode_squeezer(
     state: StateBatch, spec: SqueezerSpec | Sequence[SqueezerSpec]
 ) -> StateBatch:
@@ -133,9 +239,6 @@ def apply_two_mode_squeezer(
     ``spec`` is one spec or a sequence of one spec per state, all on the
     same two modes; the result is of the kind of ``state``.
     """
-    # the term structure (lowering and raising rows, output lines, summation
-    # order) depends only on the occupations and is built once; only the
-    # values are computed per state
     specs = (spec,) if isinstance(spec, SqueezerSpec) else spec
     if len(specs) != len(state):
         raise FockError(f"{len(specs)} squeezer specs for {len(state)} states")
@@ -145,6 +248,8 @@ def apply_two_mode_squeezer(
     ia = state.index_of(pair_modes[0])
     ib = state.index_of(pair_modes[1])
     cutoff = state.cutoff
+    occ, amp = state.occupations, state._amps
+    lay = _layout(occ.tobytes(), occ.shape[1], cutoff, ia, ib)
     gammas = [sp.gamma for sp in specs]
     s = np.sqrt(gammas)
     # diagonal factor (1-g)^(t/2), tabulated with the same math.exp the
@@ -153,63 +258,25 @@ def apply_two_mode_squeezer(
     half_t = 0.5 * np.arange(2 * cutoff + 2)
     decay = np.fromiter(map(math.exp, (logs[:, None] * half_t).ravel().tolist()), float)
     decay = decay.reshape(len(gammas), -1)
-    occ, amp = state.occupations, state._amps
-    m, n = occ[:, ia], occ[:, ib]
 
-    # lowering exp(-s ab): term i at order k = 0..min(m, n), one row per term
-    min_mn = np.minimum(m, n)
-    term, k = _ragged(min_mn + 1)
-    width = int(min_mn.max(initial=0)) + 1
-    low = _series(-s, m + 1, n + 1, -1, width).reshape(len(s), -1).take(term * width + k, axis=1)
-    mp, np_ = m.take(term) - k, n.take(term) - k
-    base = amp.take(term, axis=1) * low * decay.take(mp + np_ + 1, axis=1)
-
-    # raising exp(s a†b†): row r = (term, k) feeds j = 0..cutoff - max(mp, np_).
-    # A row's series depends only on its (mp, np_), which few rows differ in,
-    # so it is computed once per distinct pair.
-    cap = cutoff - np.maximum(mp, np_)
-    row, j = _ragged(cap + 1)
-    width = int(cap.max(initial=0)) + 1
-    first, pair_of = _group_by_key(mp * (cutoff + 1) + np_)
-    raising = _series(s, mp.take(first), np_.take(first), 1, width).reshape(len(s), -1)
-    values = base.take(row, axis=1)
-    values *= raising.take(pair_of.take(row) * width + j, axis=1)
-
-    # output (mp + j, np_ + j) lies on its input term's line (fixed
-    # spectators and n_a - n_b) at distance min(mp, np_) + j from the line's
-    # base, the term lowered min(m, n) times.  Every term of a line reaches
-    # all cutoff + 1 - |m - n| outputs of that line, so the outputs are
-    # numbered line by line, in the order of ``_line_weights``, and one
-    # stable sort by each output's head puts them in key order.
-    line_key, head = _line_weights(len(state.modes), cutoff, ia, ib) @ occ.T
-    rep, line_of = _group_by_key(line_key)
-    length = cutoff + 1 - np.abs(m - n).take(rep)
-    start = length.cumsum() - length
-    group = ((start.take(line_of) + min_mn).take(term) - k).take(row) + j
-    out_line, pos = _ragged(length)
-    src = rep.take(out_line)  # the input term at the base of each output's line
-    head = (head - min_mn).take(src) + pos
-    # a head is below (cutoff + 1) ** (min(ia, ib) + 1); on 16 bits numpy sorts by radix
-    head = head.astype(np.min_scalar_type((cutoff + 1) ** (min(ia, ib) + 1)))
-    order = head.argsort(kind="stable")
-    src, pos = src.take(order), pos.take(order)
-    out_amp = _group_sums(group, values, len(order)).take(order, axis=1)
-    out_occ = occ.take(src, axis=0)
-    shift = pos - min_mn.take(src)
-    out_occ[:, ia] += shift
-    out_occ[:, ib] += shift
+    low = _series(-s, lay.low_roots).take(lay.low_at, axis=1)
+    base = amp.take(lay.term, axis=1) * low * decay.take(lay.decay_at, axis=1)
+    values = base.take(lay.row, axis=1)
+    values *= _series(s, lay.raise_roots).take(lay.raise_at, axis=1)
+    out_amp = _group_sums(lay.group, values, len(lay.occupations))
 
     # a state's outputs are the lines its own terms lie on
     reach = None
     if state.support is not None:
-        flat = (line_of + len(rep) * np.arange(len(state))[:, None]).ravel()
-        on_line = np.bincount(flat, state.support.ravel(), len(state) * len(rep)) > 0
-        reach = on_line.reshape(len(state), len(rep)).take(out_line.take(order), axis=1)
+        on = state.support.take(lay.by_line, axis=1)
+        reach = np.logical_or.reduceat(on, lay.line_starts, axis=1).take(lay.out_line, axis=1)
 
     mag2 = _mag2(out_amp)
     deficit = state._norms_sq() - _row_sums(mag2, reach)
     leaked = state._ledger + np.maximum(0.0, deficit)
-    return type(state)._from_arrays(state.modes, out_occ, out_amp, cutoff, leaked, reach, mag2)
+    return type(state)._from_arrays(
+        state.modes, lay.occupations, out_amp, cutoff, leaked, reach, mag2
+    )
 
 
 def squeezer_matrix_element(m: int, n: int, mp: int, np_: int, gamma: float) -> complex:

@@ -223,11 +223,13 @@ class StateBatch:
     with one row per state and one column per term, and ``leaked_norm``
     holds each state's ledger.  All three are read-only.  A state's terms
     are its nonzero entries: ``support`` marks them, or is None when every
-    state has every term.  The kernels build the term structure of a batch
-    once and compute only the values row by row, and every sum over a
-    state's terms runs over its support in column order, so row b of a
-    result equals, bit for bit, what the same kernel gives ``batch[b]``
-    alone.
+    state has every term.  Pruning masks an entry (zero, outside the
+    support) and keeps its row, so the rows of a kernel's result depend on
+    the rows it was given, not on the values.  The kernels build the term
+    structure of a batch once and compute only the values row by row, and
+    every sum over a state's terms runs over its support in column order,
+    so row b of a result equals, bit for bit, what the same kernel gives
+    ``batch[b]`` alone.
 
     States are immutable by convention: no method mutates ``self`` and all
     operations return fresh states, so values can be shared freely between
@@ -264,7 +266,9 @@ class StateBatch:
         of each state (None: all of them); entries outside it must be zero.
         ``mag2`` is ``_mag2(amplitudes)`` if the caller has it.  Occupations
         are checked against 0 and the cutoff, and pruned terms move to their
-        state's ``leaked_norm``, added to it as one sum per state.
+        state's ``leaked_norm``, added to it as one sum per state.  A batch
+        keeps every row: a pruned entry is zeroed and leaves the support.  A
+        ``PureState``'s rows are its terms, so it drops the pruned ones.
         """
         modes = tuple(modes)
         _check_cutoff(len(modes), cutoff)
@@ -282,13 +286,12 @@ class StateBatch:
         else:
             keep = _kept(mag2)
             leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
-            rows = keep.any(axis=0)
-            if not rows.all():
-                occupations = occupations.compress(rows, axis=0)
-                amplitudes, keep = amplitudes.compress(rows, axis=1), keep.compress(rows, axis=1)
-            support = None if keep.all() else keep
-            if support is not None:
-                amplitudes = np.where(keep, amplitudes, 0)
+            if cls is StateBatch:
+                support, amplitudes = keep, np.where(keep, amplitudes, 0)
+            else:
+                support = None
+                occupations = occupations.compress(keep[0], axis=0)
+                amplitudes = amplitudes.compress(keep[0], axis=1)
         state = cls.__new__(cls)
         state._set(modes, occupations, amplitudes, cutoff, leaked, support)
         return state

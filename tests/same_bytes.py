@@ -72,6 +72,7 @@ from fockherald import (
     sweep,
     tensor,
 )
+from fockherald import squeezers
 from fockherald.cli import main
 
 NAN = math.nan
@@ -117,7 +118,16 @@ class Section:
         return [f"{self.name}\t{context!r}\t{h.hexdigest()}\n" for context, h in self.cases]
 
     def state(self, state) -> None:
-        """Modes, cutoff, ledger, rows and signed amplitude bytes of a state or batch."""
+        """Modes, cutoff, ledger, rows and signed amplitude bytes of a state or batch.
+
+        A batch is hashed state by state, each state over its own terms: the
+        rows a batch holds outside every state's support are not terms.
+        """
+        if type(state) is StateBatch:
+            self.add("StateBatch", len(state))
+            for b in range(len(state)):
+                self.state(state[b])
+            return
         self.add(type(state).__name__, state.modes, state.cutoff, repr(state.leaked_norm),
                  state.occupations.shape, state.occupations.tobytes(),
                  np.ascontiguousarray(state.amplitudes).view(float).tobytes())
@@ -351,6 +361,46 @@ def batches(sec: Section, rng, flat) -> None:
             sec.state(fix_global_phase(out.conditional_state))
 
 
+def warm(sec: Section) -> None:
+    """Runs right after other couplings, cutoffs and inputs filled the squeezer
+    layout memo, and the same runs after it was cleared.
+
+    Each case first runs its ``fill`` calls unhashed, so a layout kept from
+    them that is stale or keyed too coarsely (without the cutoff, the mode
+    pair or the row shape) changes what the hashed runs give.  A library
+    without the memo runs the same calls.
+    """
+    clear = getattr(getattr(squeezers, "_layout", None), "cache_clear", lambda: None)
+    pair, trio = (ModeLabel(1), ModeLabel(2)), tuple(ModeLabel(p) for p in range(1, 4))
+    # the same six int64 values as rows of two modes and of three
+    two = PureState(pair, {(0, 0): 0.6, (0, 1): 0.48, (1, 0): 0.64}, 3)
+    three = PureState(trio, {(0, 0, 0): 0.6, (1, 1, 0): 0.8}, 3)
+    kernels = [
+        (apply_two_mode_squeezer, two, SqueezerSpec(*pair, 0.3)),
+        (apply_two_mode_squeezer, three, SqueezerSpec(*pair, 0.3)),
+        (apply_two_mode_squeezer, three, SqueezerSpec(trio[1], trio[0], 0.3)),
+        (apply_two_mode_squeezer, three, SqueezerSpec(*trio[1:], 0.3)),
+    ]
+    runs = [(run_qutrit_teleport, COEFFS[0], g2, c) for g2 in (0.02, 0.24) for c in (3, 8)]
+    runs += [(run_qutrit_teleport, COEFFS[1], 0.1, 8), (run_qubit_teleport, COEFFS[1], 0.1, 16),
+             (run_qubit_teleport, COEFFS[1], 0.2, 12), (run_nls, COEFFS[0], None, 64),
+             (run_nls, COEFFS[0], None, 40), (run_nls, COEFFS[1], None, 64)]
+    for fill, case in itertools.chain(itertools.permutations(kernels, 2),
+                                      itertools.permutations(runs, 2)):
+        for cold in (False, True):
+            sec.case(case[0].__name__, *case[1:], "after", fill[0].__name__, *fill[1:], cold)
+            fill[0](*fill[1:])
+            if cold:
+                clear()
+            res = case[0](*case[1:])
+            if isinstance(res, StateBatch):
+                sec.state(res)
+            else:
+                sec.add(res.to_json(), res.herald_distribution)
+                sec.state(res.output_state)
+                sec.state(res.pre_herald_state)
+
+
 def non_integer_cutoffs(sec: Section) -> None:
     for cutoff in (2.7, 3.0, 8.5, 16.0):
         sec.case(cutoff)
@@ -402,11 +452,12 @@ def heralded(sec: Section) -> None:
 
 def main_corpus(cases_path: str | None = None) -> None:
     warnings.simplefilter("ignore")
-    sections = [Section(n) for n in ("runners", "sweeps", "cli", "kernels")]
+    sections = [Section(n) for n in ("runners", "sweeps", "cli", "kernels", "warm")]
     runners(sections[0], integer_cutoffs)
     sweeps(sections[1])
     cli(sections[2])
     kernels(sections[3])
+    warm(sections[4])
     total = hashlib.sha256()
     for sec in sections:
         digest = sec.hash.hexdigest()
