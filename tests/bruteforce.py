@@ -5,6 +5,9 @@ sparse matrices on a total-photon-capped six-mode basis and applies true
 matrix exponentials (scipy expm_multiply), sharing no code with the
 factored production path.
 
+``transfer`` gives the signed heralded amplitudes of the paper's circuits
+in closed form.
+
 ``apply_two_mode_squeezer_scalar`` is the squeezer as a term-by-term dict
 loop; it multiplies the same per-step factors and adds the contributions in
 the same order as the vectorised kernel, and serves as its reference.  Its
@@ -61,6 +64,20 @@ def apply_two_mode_squeezer_scalar(state, spec):
     deficit = np.array(in_mag2).sum() - np.array(out_mag2).sum()
     leaked = state.leaked_norm + max(0.0, float(deficit))
     return PureState(state.modes, out, cutoff, leaked)
+
+
+def transfer(circuit, g1, g2):
+    """Signed heralded amplitudes t_i of a circuit: input c_i leaves as t_i c_i |target_i>.
+
+    Closed forms of the paper's circuits (the teleports' and the NLS gate's
+    herald sectors); the herald probability is sum_i t_i^2 |c_i|^2.
+    """
+    if circuit.name == "teleport-qutrit":
+        t1 = math.sqrt(g1 * g2) * (1 - 2 * g2)
+        return tuple((1 - g1) * (1 - g2) * t for t in (g2, t1, t1))
+    amps = (math.sqrt(g2), math.sqrt(g1) * (1 - 2 * g2), g1 * math.sqrt(g2) * (3 * g2 - 2))
+    scale = math.sqrt((1 - g1) * (1 - g2))
+    return tuple(scale * t for t in amps[:len(circuit.inputs)])
 
 
 def herald_weights_scalar(state, detected):
