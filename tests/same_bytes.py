@@ -12,7 +12,9 @@ their error messages, ``sweep`` grids, ``optimize_teleport_success``, the CLI
 (``run`` in every format, ``sweep``, ``params``, ``oracle-check``) and seeded
 random kernel cases on single states and on batches, among them batches of
 a sweep chunk's size (24 and 32 states at cutoffs 1 and 16, with and without
-a support).  Each section's hash
+a support).  A batch is hashed state by state, each over its own terms.
+The ``warm`` section runs kernels and runners right after other runs filled
+the squeezer layout memo, and again after clearing it.  Each section's hash
 is printed too, so a difference can be located.  Cases whose outcome
 depends on a non-integer cutoff are hashed apart, on the
 ``non-integer-cutoff`` line, and are not part of ``corpus``.

@@ -78,35 +78,26 @@ def test_cached_layout_arrays_are_read_only():
             array[(0,) * array.ndim] = 1
 
 
-def test_equal_bytes_in_another_shape_get_their_own_layout():
-    # rows (0,0), (0,1), (1,0) on two modes and (0,0,0), (1,1,0) on three
-    # are the same six int64 values
-    m1, m2, m3 = ModeLabel(1), ModeLabel(2), ModeLabel(3)
-    two = PureState((m1, m2), {(0, 0): 0.6, (0, 1): 0.48, (1, 0): 0.64}, 3)
-    three = PureState((m1, m2, m3), {(0, 0, 0): 0.6, (1, 1, 0): 0.8}, 3)
+def test_a_warm_memo_gives_the_reference_loop():
+    # one layout per (rows, row shape, cutoff, pair): the same rows on another
+    # pair or at another cutoff, other rows of the same count, and the same
+    # int64 values as rows of another width get their own
+    m = tuple(ModeLabel(p) for p in range(3))
+    two = PureState(m[:2], {(0, 0): 0.6, (0, 1): 0.48, (1, 0): 0.64}, 3)
+    three = PureState(m, {(0, 0, 0): 0.6, (1, 1, 0): 0.8}, 3)
     assert two.occupations.tobytes() == three.occupations.tobytes()
+    cases = [(two, (m[0], m[1]))]
+    for psi in (three, PureState(m, {(0, 0, 0): 0.6, (1, 1, 0): 0.8}, 5),
+                PureState(m, {(0, 1, 0): 0.6, (2, 0, 1): 0.8}, 5)):
+        cases += [(psi, pair) for pair in ((m[0], m[1]), (m[1], m[2]), (m[0], m[2]))]
     _layout.cache_clear()
-    spec = SqueezerSpec(m1, m2, 0.3)
-    for psi in (two, three):
-        out, loop = apply_two_mode_squeezer(psi, spec), apply_two_mode_squeezer_scalar(psi, spec)
+    for psi, pair in cases:
+        spec = SqueezerSpec(*pair, 0.3)
+        out = apply_two_mode_squeezer(psi, spec)
+        loop = apply_two_mode_squeezer_scalar(psi, spec)
         assert np.array_equal(out.occupations, loop.occupations)
         assert out.amplitudes.tobytes() == loop.amplitudes.tobytes()
-    assert _layout.cache_info().misses == 2
-
-
-def test_a_warm_memo_gives_the_reference_loop():
-    # one layout per (rows, cutoff, pair): the same rows on another pair or
-    # at another cutoff, and other rows of the same count, get their own
-    m = tuple(ModeLabel(p) for p in range(3))
-    states = [PureState(m, {(0, 0, 0): 0.6, (1, 1, 0): 0.8}, c) for c in (3, 5)]
-    states.append(PureState(m, {(0, 1, 0): 0.6, (2, 0, 1): 0.8}, 5))
-    for psi in states:
-        for pair in ((m[0], m[1]), (m[1], m[2]), (m[0], m[2])):
-            spec = SqueezerSpec(*pair, 0.3)
-            out = apply_two_mode_squeezer(psi, spec)
-            loop = apply_two_mode_squeezer_scalar(psi, spec)
-            assert np.array_equal(out.occupations, loop.occupations)
-            assert out.amplitudes.tobytes() == loop.amplitudes.tobytes()
+    assert _layout.cache_info().misses == len(cases)
 
 
 def test_a_pure_state_still_drops_pruned_terms():
