@@ -342,7 +342,10 @@ class StateBatch:
 
     @property
     def terms(self) -> dict[tuple[int, ...], np.ndarray]:
-        """{occupation tuple: that term's amplitude in every state}; do not mutate."""
+        """{occupation tuple: that row's amplitude in every state}; do not mutate.
+
+        Every row is listed, masked rows too (see ``support``).
+        """
         if self._terms is None:
             self._terms = dict(zip(map(tuple, self.occupations.tolist()), self._amps.T))
         return self._terms
