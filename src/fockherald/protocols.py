@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -297,8 +298,11 @@ class Circuit:
 # points of a polyhedron.  They are walked shift by shift, each shift's range
 # given the ones before it taken from a Fourier-Motzkin projection.  A row
 # is a list of integers [constant, coefficient of s_0, ...], read as
-# row >= 0; the projection combines rows with positive integer factors, so
-# rows stay integral.
+# row >= 0; the projection combines rows with positive integer factors and
+# divides a row by the gcd of its coefficients, flooring the constant, which
+# drops no integer point, so rows stay integral.  Where a shift is unbounded
+# the herald is reached with occupations as large as you like, if at all;
+# whether at all is a search in a finite box (``_has_integer_point``).
 
 
 def _cone_peak(
@@ -318,10 +322,10 @@ def _cone_peak(
         row = occupation[d][:]
         row[0] -= 1
         herald += [row, [-x for x in row]]
-    return _peak(stages, herald, list(range(1, width)))
+    return _peak(stages, herald, list(range(1, width))) or 0
 
 
-def _fix(row: list, var: int, value: int) -> list:
+def _fix(row: list, var: int, value: int | Fraction) -> list:
     """``row`` with variable ``var`` set to ``value``."""
     out = row[:]
     out[0] += row[var] * value
@@ -329,34 +333,86 @@ def _fix(row: list, var: int, value: int) -> list:
     return out
 
 
-def _peak(stages: list, herald: list, free: list[int]) -> int | float:
+def _range(rows: list, var: int, rest: list[int], integral: bool = True) -> tuple | None:
+    """The bounds (lo, hi) of ``var`` once ``rest`` is eliminated, None at an
+    open end; None if the rows have no solution.  ``integral`` drops rational
+    solutions between the integer ones (``_tighten``), so lo and hi may be
+    fractions only where it is False."""
+    lo = hi = None
+    for row in _project(rows, rest, integral):
+        a, c = row[var], row[0]
+        if a > 0:  # var >= -c / a
+            lo = max(lo, Fraction(-c) / a) if lo is not None else Fraction(-c) / a
+        elif a < 0:  # var <= c / -a
+            hi = min(hi, Fraction(c) / -a) if hi is not None else Fraction(c) / -a
+        elif c < 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+def _peak(stages: list, herald: list, free: list[int]) -> int | float | None:
     """Max of ``stages`` over the integer values of the ``free`` variables that
-    keep every row >= 0; 0 if there are none, inf if they are unbounded."""
+    keep every row >= 0; None if there are none, inf if they are unbounded."""
     rows = stages + herald
     if not free:
-        return max((r[0] for r in stages), default=0) if all(r[0] >= 0 for r in rows) else 0
+        return max((r[0] for r in stages), default=0) if all(r[0] >= 0 for r in rows) else None
     var, rest = free[0], free[1:]
-    lo = hi = None
-    for row in _project(rows, rest):
-        a, c = row[var], row[0]
-        if a > 0:  # var >= ceil(-c / a)
-            lo = -(c // a) if lo is None else max(lo, -(c // a))
-        elif a < 0:  # var <= floor(c / -a)
-            hi = c // -a if hi is None else min(hi, c // -a)
-        elif c < 0:
-            return 0
-    if lo is not None and hi is not None and lo > hi:
-        return 0
+    bounds = _range(rows, var, rest)
+    if bounds is None:
+        return None
+    lo, hi = bounds
     if lo is None or hi is None:
-        return math.inf
-    best = 0
-    for n in range(lo, hi + 1):
-        best = max(best, _peak([_fix(r, var, n) for r in stages],
-                               [_fix(r, var, n) for r in herald], rest))
-    return best
+        # A ray of the rows raises an occupation without end (the stages
+        # fix every shift, so a ray that leaves them all alone is 0), and
+        # from an integer point an integer ray stays on integer points.
+        # The rows may still hold no integer point: a herald on an odd
+        # cycle of squeezers asks a shift for half a photon.
+        return math.inf if _has_integer_point(rows, free) else None
+    peaks = (_peak([_fix(r, var, n) for r in stages], [_fix(r, var, n) for r in herald], rest)
+             for n in range(math.ceil(lo), math.floor(hi) + 1))
+    return max((p for p in peaks if p is not None), default=None)
 
 
-def _project(rows: list, variables: list[int]) -> list:
+def _has_integer_point(rows: list, free: list[int]) -> bool:
+    """Whether the rows >= 0, rationally feasible, hold an integer point.
+
+    If they do, one lies within n * delta of any rational solution in each
+    variable (Cook, Gerards, Schrijver and Tardos 1986, the proximity
+    theorem with a zero objective; Schrijver, Theory of Linear and Integer
+    Programming, Thm 17.2), n the number of variables and delta a bound on
+    the subdeterminants of the coefficients, here Hadamard's: the product
+    of the n largest row norms.  Inside that box the search is finite.
+    """
+    point, fixed = [], rows  # a rational solution, one variable at a time
+    for i, var in enumerate(free):
+        lo, hi = _range(fixed, var, free[i + 1:], integral=False)
+        point.append(lo if lo is not None else hi if hi is not None else 0)
+        fixed = [_fix(r, var, point[-1]) for r in fixed]
+    squares = sorted((sum(r[v] ** 2 for v in free) for r in rows), reverse=True)
+    reach = len(free) * math.isqrt(math.prod(q for q in squares[: len(free)] if q))
+    return _any_point(rows, free, [(math.ceil(x - reach), math.floor(x + reach)) for x in point])
+
+
+def _any_point(rows: list, free: list[int], box: list[tuple[int, int]]) -> bool:
+    """Whether integer values of the ``free`` variables, each within its
+    ``box`` interval, keep every row >= 0."""
+    if not free:
+        return all(r[0] >= 0 for r in rows)
+    var, rest = free[0], free[1:]
+    bounds = _range(rows, var, rest)
+    if bounds is None:
+        return False
+    lo, hi = box[0]
+    if bounds[0] is not None:
+        lo = max(lo, math.ceil(bounds[0]))
+    if bounds[1] is not None:
+        hi = min(hi, math.floor(bounds[1]))
+    return any(_any_point([_fix(r, var, n) for r in rows], rest, box[1:]) for n in range(lo, hi + 1))
+
+
+def _project(rows: list, variables: list[int], integral: bool) -> list:
     """Fourier-Motzkin: the rows >= 0 that ``variables`` eliminated leave."""
     for var in variables:
         pos = [r for r in rows if r[var] > 0]
@@ -364,8 +420,16 @@ def _project(rows: list, variables: list[int]) -> list:
         rows = [r for r in rows if not r[var]] + [
             [p_x * -n[var] + n_x * p[var] for p_x, n_x in zip(p, n)] for p in pos for n in neg
         ]
+        if integral:
+            rows = [_tighten(r) for r in rows]
         rows = list(map(list, set(map(tuple, rows))))
     return rows
+
+
+def _tighten(row: list) -> list:
+    """``row`` on integer points: c + g * (an integer) >= 0 is floor(c / g) + that >= 0."""
+    g = math.gcd(*row[1:])
+    return row if g < 2 else [row[0] // g] + [x // g for x in row[1:]]
 
 
 def _herald_cutoff(circuit: Circuit, cs: Sequence[complex]) -> int | float:

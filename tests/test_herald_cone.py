@@ -14,7 +14,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockherald import (
@@ -47,6 +47,22 @@ FOUR_MODE = Circuit(
     detected=(M1, M2, M4),
     out_modes=(M3,),
     targets=((1,), (1,)),
+    negated=(),
+    closed_form=lambda g1, g2, w0, w1, w2: math.nan,
+)
+
+# a herald on an odd cycle of squeezers: modes 1, 2 and 4 each end at one
+# photon only if the (1, 4) and (2, 4) shifts are half a photon each, so no
+# path reaches it, though the rational shifts are unbounded
+ODD_CYCLE = Circuit(
+    name="odd-cycle",
+    modes=(M1, M2, M3, M4),
+    inputs=((0, 0, 0, 0),),
+    layers=((SqueezerSpec, M1, M2, 0), (SqueezerSpec, M1, M2, 0),
+            (SqueezerSpec, M1, M4, 0), (SqueezerSpec, M2, M4, 0)),
+    detected=(M1, M2, M4),
+    out_modes=(M3,),
+    targets=((0,),),
     negated=(),
     closed_form=lambda g1, g2, w0, w1, w2: math.nan,
 )
@@ -127,6 +143,16 @@ def test_unconstrained_circuit_has_no_herald_cutoff():
         run_circuit(open_circuit, InputCoefficients(0.6, 0.8), GateParams(0.3, 0.2))
 
 
+def test_a_herald_no_path_reaches_has_a_finite_cutoff():
+    assert ODD_CYCLE.herald_cutoffs == (1,)
+    coeffs, params = InputCoefficients(1.0, 0.0), GateParams(0.3, 0.3)
+    res = run_circuit(ODD_CYCLE, coeffs, params)
+    assert res.exact and res.output_state.cutoff == 1
+    assert res.success_probability == 0.0
+    for cutoff in (2, 3, 5):
+        assert heralded_fields(run_circuit(ODD_CYCLE, coeffs, params, cutoff)) == heralded_fields(res)
+
+
 def _brute_force_peak(circuit, bound):
     """Largest occupation on a herald path, over every shift vector in [-bound, bound]."""
     col = {m: i for i, m in enumerate(circuit.modes)}
@@ -171,6 +197,7 @@ def small_circuits(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(circuit=small_circuits())
+@example(circuit=ODD_CYCLE)
 def test_herald_cutoff_matches_a_brute_force_search(circuit):
     (cone,) = circuit.herald_cutoffs
     if cone == math.inf:
