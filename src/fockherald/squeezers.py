@@ -12,10 +12,11 @@ running products (``np.cumprod``) over per-step factor matrices, one row
 per input term or per (term, lowering order) and one block per state, and
 the outputs that land on the same occupation are summed in a fixed order.
 The term structure (a ``_Layout`` of index arrays) depends only on the
-occupations, the cutoff and the mode pair.  A batch keeps its rows through
-pruning, so a circuit's layers see the same occupations at every coupling,
-and the last ``LAYOUT_MEMO`` layouts are kept and reused; each call computes
-only the values.  No per-term Python loop runs and no dict is built.  A slow
+occupations, the cutoff and the mode pair.  Pruning masks a batch's
+entries and drops only the rows past the largest photon number a state
+holds, so a circuit's layers see the same occupations at every coupling
+that reaches the same photon numbers, and the last ``LAYOUT_MEMO`` layouts
+are kept and reused; each call computes only the values.  No per-term Python loop runs and no dict is built.  A slow
 series-exponential oracle is provided for cross-validation.
 """
 

@@ -224,8 +224,9 @@ class StateBatch:
     holds each state's ledger.  All three are read-only.  A state's terms
     are its nonzero entries: ``support`` marks them, or is None when every
     state has every term.  Pruning masks an entry (zero, outside the
-    support) and keeps its row, so the rows of a kernel's result depend on
-    the rows it was given, not on the values.  The kernels build the term
+    support) and keeps its row up to the largest photon number that any
+    state still holds, so the rows of a kernel's result depend on the rows
+    it was given and on that number, not on the values.  The kernels build the term
     structure of a batch once and compute only the values row by row, and
     every sum over a state's terms runs over its support in column order,
     so row b of a result equals, bit for bit, what the same kernel gives
@@ -267,8 +268,10 @@ class StateBatch:
         ``mag2`` is ``_mag2(amplitudes)`` if the caller has it.  Occupations
         are checked against 0 and the cutoff, and pruned terms move to their
         state's ``leaked_norm``, added to it as one sum per state.  A batch
-        keeps every row: a pruned entry is zeroed and leaves the support.  A
-        ``PureState``'s rows are its terms, so it drops the pruned ones.
+        keeps the rows up to the largest photon number any state holds: a
+        pruned entry among them is zeroed and leaves the support, and the
+        rows past it, pruned in every state, are dropped.  A ``PureState``'s
+        rows are its terms, so it drops every pruned one.
         """
         modes = tuple(modes)
         _check_cutoff(len(modes), cutoff)
@@ -287,7 +290,14 @@ class StateBatch:
             keep = _kept(mag2)
             leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
             if cls is StateBatch:
-                support, amplitudes = keep, np.where(keep, amplitudes, 0)
+                total = occupations.sum(axis=1)
+                rows = total <= total.compress(keep.any(axis=0)).max(initial=-1)
+                if not rows.all():
+                    occupations = occupations.compress(rows, axis=0)
+                    amplitudes, keep = amplitudes.compress(rows, axis=1), keep.compress(rows, axis=1)
+                support = None if keep.all() else keep
+                if support is not None:
+                    amplitudes = np.where(keep, amplitudes, 0)
             else:
                 support = None
                 occupations = occupations.compress(keep[0], axis=0)

@@ -12,8 +12,8 @@ their error messages, ``sweep`` grids, ``optimize_teleport_success``, the CLI
 (``run`` in every format, ``sweep``, ``params``, ``oracle-check``) and seeded
 random kernel cases on single states and on batches, among them batches of
 a sweep chunk's size (24 and 32 states at cutoffs 1 and 16, with and without
-a support).  A batch is hashed state by state, each over its own terms.
-The ``warm`` section runs kernels and runners right after other runs filled
+a support).  A batch is hashed without the masked rows that no state
+holds (see ``Section.state``).  The ``warm`` section runs kernels and runners right after other runs filled
 the squeezer layout memo, and again after clearing it.  Each section's hash
 is printed too, so a difference can be located.  Cases whose outcome
 depends on a non-integer cutoff are hashed apart, on the
@@ -120,20 +120,21 @@ class Section:
         return [f"{self.name}\t{context!r}\t{h.hexdigest()}\n" for context, h in self.cases]
 
     def state(self, state) -> None:
-        """Modes, cutoff, ledger, rows and signed amplitude bytes of a state or batch.
+        """Modes, cutoff, ledger, rows, signed amplitude bytes and support of a state or batch.
 
-        A batch is hashed state by state, each state over its own terms: the
-        rows a batch holds outside every state's support are not terms.
+        A batch is hashed without the rows that no state holds, and with no
+        support where every state holds every row left: a batch may keep
+        such rows as masked entries (zero, outside every support), and a
+        batch that drops them hashes the same.
         """
-        if type(state) is StateBatch:
-            self.add("StateBatch", len(state))
-            for b in range(len(state)):
-                self.state(state[b])
-            return
-        self.add(type(state).__name__, state.modes, state.cutoff, repr(state.leaked_norm),
-                 state.occupations.shape, state.occupations.tobytes(),
-                 np.ascontiguousarray(state.amplitudes).view(float).tobytes())
+        occ, amp = state.occupations, state.amplitudes
         support = getattr(state, "support", None)
+        if support is not None:
+            held = support.any(axis=0)
+            occ, amp, support = occ[held], amp[:, held], support[:, held]
+            support = None if support.all() else support
+        self.add(type(state).__name__, state.modes, state.cutoff, repr(state.leaked_norm),
+                 occ.shape, occ.tobytes(), np.ascontiguousarray(amp).view(float).tobytes())
         self.add(None if support is None else support.tobytes())
 
     def value(self, x) -> None:
