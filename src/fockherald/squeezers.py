@@ -13,10 +13,11 @@ per input term or per (term, lowering order) and one block per state, and
 the outputs that land on the same occupation are summed in a fixed order.
 The term structure (a ``_Layout`` of index arrays) depends only on the
 occupations, the cutoff and the mode pair.  Pruning masks a batch's
-entries and drops only the rows past the largest photon number a state
-holds, so a circuit's layers see the same occupations at every coupling
-that reaches the same photon numbers, and the last ``LAYOUT_MEMO`` layouts
-are kept and reused; each call computes only the values.  No per-term Python loop runs and no dict is built.  A slow
+entries and drops rows only past the largest photon number a state holds
+when that halves the batch (``StateBatch._from_arrays``), so a circuit's
+layers mostly see the same occupations at every coupling, and the last
+``LAYOUT_MEMO`` layouts are kept and reused; each call computes only the
+values.  No per-term Python loop runs and no dict is built.  A slow
 series-exponential oracle is provided for cross-validation.
 """
 
@@ -144,7 +145,8 @@ class _Layout:
     ``decay_at`` and ``raise_at`` locate each row's and contribution's
     factors in the flattened lowering series, the decay table and the
     flattened raising series; ``group`` is each contribution's output
-    column, and ``occupations`` the output rows.  ``by_line`` lists the
+    column, ``occupations`` the output rows and ``photons`` their total
+    photon numbers.  ``by_line`` lists the
     input rows line by line (fixed spectators and n_a - n_b), each line
     starting at ``line_starts``, and ``out_line`` is each output's line.
     Every caller shares a layout, so its arrays are read-only.
@@ -159,6 +161,7 @@ class _Layout:
     raise_at: np.ndarray
     group: np.ndarray
     occupations: np.ndarray
+    photons: np.ndarray
     by_line: np.ndarray
     line_starts: np.ndarray
     out_line: np.ndarray
@@ -226,7 +229,7 @@ def _layout(occ_bytes: bytes, n_modes: int, cutoff: int, ia: int, ib: int) -> _L
     per_line = np.bincount(line_of, minlength=len(rep))
     line_starts = per_line.cumsum() - per_line
     return _Layout(term, low_roots, low_at, mp + np_ + 1, row, raise_roots, raise_at, group,
-                   out_occ, by_line, line_starts, out_line.take(order))
+                   out_occ, out_occ.sum(axis=1), by_line, line_starts, out_line.take(order))
 
 
 def apply_two_mode_squeezer(
@@ -276,7 +279,7 @@ def apply_two_mode_squeezer(
     deficit = state._norms_sq() - _row_sums(mag2, reach)
     leaked = state._ledger + np.maximum(0.0, deficit)
     return type(state)._from_arrays(
-        state.modes, lay.occupations, out_amp, cutoff, leaked, reach, mag2
+        state.modes, lay.occupations, out_amp, cutoff, leaked, reach, mag2, lay.photons
     )
 
 

@@ -224,9 +224,10 @@ class StateBatch:
     holds each state's ledger.  All three are read-only.  A state's terms
     are its nonzero entries: ``support`` marks them, or is None when every
     state has every term.  Pruning masks an entry (zero, outside the
-    support) and keeps its row up to the largest photon number that any
-    state still holds, so the rows of a kernel's result depend on the rows
-    it was given and on that number, not on the values.  The kernels build the term
+    support) and keeps its row, and drops rows only past the largest photon
+    number that any state still holds (see ``_from_arrays``), so the rows of
+    a kernel's result depend on the rows it was given and on that number,
+    not on the values.  The kernels build the term
     structure of a batch once and compute only the values row by row, and
     every sum over a state's terms runs over its support in column order,
     so row b of a result equals, bit for bit, what the same kernel gives
@@ -257,6 +258,7 @@ class StateBatch:
         leaked_norm: np.ndarray,
         support: np.ndarray | None = None,
         mag2: np.ndarray | None = None,
+        photons: np.ndarray | None = None,
     ) -> "StateBatch":
         """Kernel-side constructor: a state of the kind ``cls`` from its arrays.
 
@@ -265,13 +267,16 @@ class StateBatch:
         kernels guarantee both.  ``amplitudes`` has one row per state (one
         for a ``PureState``).  ``support`` marks the entries that are terms
         of each state (None: all of them); entries outside it must be zero.
-        ``mag2`` is ``_mag2(amplitudes)`` if the caller has it.  Occupations
+        ``mag2`` is ``_mag2(amplitudes)`` and ``photons`` each row's total
+        photon number, if the caller has them.  Occupations
         are checked against 0 and the cutoff, and pruned terms move to their
         state's ``leaked_norm``, added to it as one sum per state.  A batch
-        keeps the rows up to the largest photon number any state holds: a
-        pruned entry among them is zeroed and leaves the support, and the
-        rows past it, pruned in every state, are dropped.  A ``PureState``'s
-        rows are its terms, so it drops every pruned one.
+        zeroes a pruned entry, which leaves the support, and keeps its row,
+        unless the row's total photon number lies past the largest one any
+        state holds and such rows are at least half of the batch: those are
+        dropped.  So a batch holds at most twice the rows up to that photon
+        number.  A ``PureState``'s rows are its terms, so it drops every
+        pruned one.
         """
         modes = tuple(modes)
         _check_cutoff(len(modes), cutoff)
@@ -290,9 +295,10 @@ class StateBatch:
             keep = _kept(mag2)
             leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
             if cls is StateBatch:
-                total = occupations.sum(axis=1)
-                rows = total <= total.compress(keep.any(axis=0)).max(initial=-1)
-                if not rows.all():
+                if photons is None:
+                    photons = occupations.sum(axis=1)
+                rows = photons <= photons.compress(keep.any(axis=0)).max(initial=-1)
+                if 2 * np.count_nonzero(rows) <= len(rows):
                     occupations = occupations.compress(rows, axis=0)
                     amplitudes, keep = amplitudes.compress(rows, axis=1), keep.compress(rows, axis=1)
                 support = None if keep.all() else keep
