@@ -224,12 +224,13 @@ def _layout(occ_bytes: bytes, n_modes: int, cutoff: int, ia: int, ib: int) -> _L
     shift = pos - min_mn.take(src)
     out_occ[:, ia] += shift
     out_occ[:, ib] += shift
+    photons = occ.sum(axis=1).take(src) + 2 * shift  # summed over the fewer input rows
 
     by_line = line_of.argsort(kind="stable")
     per_line = np.bincount(line_of, minlength=len(rep))
     line_starts = per_line.cumsum() - per_line
     return _Layout(term, low_roots, low_at, mp + np_ + 1, row, raise_roots, raise_at, group,
-                   out_occ, out_occ.sum(axis=1), by_line, line_starts, out_line.take(order))
+                   out_occ, photons, by_line, line_starts, out_line.take(order))
 
 
 def apply_two_mode_squeezer(
