@@ -20,8 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -43,6 +42,9 @@ from .states import (
     ZeroNormError,
     _overlaps,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SWEEP_CHUNK = 32             # grid points per sweep batch; bounds a sweep's memory
 
@@ -335,16 +337,22 @@ def _fix(row: list, var: int, value: int | Fraction) -> list:
 
 def _range(rows: list, var: int, rest: list[int], integral: bool = True) -> tuple | None:
     """The bounds (lo, hi) of ``var`` once ``rest`` is eliminated, None at an
-    open end; None if the rows have no solution.  ``integral`` drops rational
-    solutions between the integer ones (``_tighten``), so lo and hi may be
-    fractions only where it is False."""
+    open end; None if the rows have no solution.  ``integral`` keeps the
+    integer solutions only (``_tighten``), and lo and hi are integers; where
+    it is False they are the exact rational bounds."""
+    if not integral:
+        # imported here: fractions loads decimal, and only a cone whose
+        # shifts are unbounded asks for rational bounds
+        from fractions import Fraction
     lo = hi = None
     for row in _project(rows, rest, integral):
         a, c = row[var], row[0]
         if a > 0:  # var >= -c / a
-            lo = max(lo, Fraction(-c) / a) if lo is not None else Fraction(-c) / a
+            bound = -(c // a) if integral else Fraction(-c, a)
+            lo = bound if lo is None else max(lo, bound)
         elif a < 0:  # var <= c / -a
-            hi = min(hi, Fraction(c) / -a) if hi is not None else Fraction(c) / -a
+            bound = c // -a if integral else Fraction(c, -a)
+            hi = bound if hi is None else min(hi, bound)
         elif c < 0:
             return None
     if lo is not None and hi is not None and lo > hi:

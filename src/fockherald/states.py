@@ -224,10 +224,11 @@ class StateBatch:
     holds each state's ledger.  All three are read-only.  A state's terms
     are its nonzero entries: ``support`` marks them, or is None when every
     state has every term.  Pruning masks an entry (zero, outside the
-    support) and keeps its row, and drops rows only past the largest photon
-    number that any state still holds (see ``_from_arrays``), so the rows of
-    a kernel's result depend on the rows it was given and on that number,
-    not on the values.  The kernels build the term
+    support) and keeps its row; only rows past the largest photon number
+    that any state still holds are dropped, and only where they are at
+    least half of the batch (see ``_from_arrays``).  So the rows of a
+    kernel's result seldom depend on the values, and the squeezer reuses
+    its index layout across couplings.  The kernels build the term
     structure of a batch once and compute only the values row by row, and
     every sum over a state's terms runs over its support in column order,
     so row b of a result equals, bit for bit, what the same kernel gives

@@ -54,7 +54,8 @@ def test_batch_rows_do_not_depend_on_the_coupling():
 
 def test_a_weak_coupling_drops_the_rows_past_its_photons():
     # at cutoff 16 gamma2 = 0.02 holds at most 23 photons of the 65 the
-    # cutoff allows, and dropping the rows past them halves every batch
+    # cutoff allows; a batch drops the rows past the photons held where
+    # they are at least half of it, so it keeps under twice the rows below
     weak, strong = qutrit_layers(0.02, 16), qutrit_layers(0.24, 16)
     for a, b in zip(weak, strong):
         total = a.occupations.sum(axis=1)
