@@ -192,22 +192,21 @@ def _row_sums(values: np.ndarray, support: np.ndarray | None) -> np.ndarray:
     return np.array([row[on].sum() for row, on in zip(values, support)], values.dtype)
 
 
-def _check_bounds(occupations: np.ndarray, cutoff: int, names: list | None = None) -> None:
+def _check_bounds(occupations: np.ndarray, cutoff: int, names: list) -> None:
     """Raise for the first row with an occupation outside [0, cutoff].
 
     The row's first such entry decides: ``FockError`` if it is negative,
     else ``CutoffExceededError``.  The message names the row as
-    ``names[row]`` if given (the terms as the caller wrote them).
+    ``names[row]`` (the term as the caller wrote it).
     """
     # one pass for both bounds: a negative occupation reads as a huge unsigned one
     wide = occupations.view(np.uint64)
     if not occupations.size or wide.max() <= cutoff:
         return
     row, col = divmod(int((wide > cutoff).argmax()), occupations.shape[1])
-    occ = tuple(occupations[row].tolist()) if names is None else names[row]
     if occupations[row, col] < 0:
-        raise FockError(f"negative occupation in {occ}")
-    raise CutoffExceededError(f"occupation {occ} exceeds cutoff {cutoff}")
+        raise FockError(f"negative occupation in {names[row]}")
+    raise CutoffExceededError(f"occupation {names[row]} exceeds cutoff {cutoff}")
 
 
 def _kept(mag2: np.ndarray | float) -> np.ndarray | bool:
@@ -226,7 +225,7 @@ class StateBatch:
     state has every term.  Pruning masks an entry (zero, outside the
     support) and keeps its row; only rows past the largest photon number
     that any state still holds are dropped, and only where they are at
-    least half of the batch (see ``_from_arrays``).  So the rows of a
+    least half of the batch (see ``_prune``).  So the rows of a
     kernel's result seldom depend on the values, and the squeezer reuses
     its index layout across couplings.  The kernels build the term
     structure of a batch once and compute only the values row by row, and
@@ -263,30 +262,33 @@ class StateBatch:
     ) -> "StateBatch":
         """Kernel-side constructor: a state of the kind ``cls`` from its arrays.
 
-        ``modes`` must be canonical and valid, and the rows of
-        ``occupations`` (int64) unique and in lexicographic order; the
-        kernels guarantee both.  ``amplitudes`` has one row per state (one
-        for a ``PureState``).  ``support`` marks the entries that are terms
-        of each state (None: all of them); entries outside it must be zero.
-        ``mag2`` is ``_mag2(amplitudes)`` and ``photons`` each row's total
-        photon number, if the caller has them.  Occupations
-        are checked against 0 and the cutoff, and pruned terms move to their
-        state's ``leaked_norm``, added to it as one sum per state.  A batch
-        zeroes a pruned entry, which leaves the support, and keeps its row,
-        unless the row's total photon number lies past the largest one any
-        state holds and such rows are at least half of the batch: those are
-        dropped.  So a batch holds at most twice the rows up to that photon
-        number.  A ``PureState``'s rows are its terms, so it drops every
-        pruned one.
+        The caller guarantees what a state's terms were checked for where
+        they entered: ``modes`` canonical and valid, ``cutoff`` an integer
+        inside the key space, the rows of ``occupations`` (int64, one column
+        per mode, one row per column of ``amplitudes``) in [0, cutoff],
+        unique and in lexicographic order.  ``amplitudes`` has one row per
+        state (one for a ``PureState``).  ``support`` marks the entries that
+        are terms of each state (None: all of them); entries outside it must
+        be zero.  ``mag2`` is ``_mag2(amplitudes)`` and ``photons`` each
+        row's total photon number, if the caller has them.  See ``_prune``.
         """
-        modes = tuple(modes)
-        _check_cutoff(len(modes), cutoff)
-        if occupations.shape != (amplitudes.shape[-1], len(modes)):
-            raise ModeMismatchError(
-                f"occupation matrix of shape {occupations.shape} does not match"
-                f" {amplitudes.shape[-1]} amplitudes on {len(modes)} modes"
-            )
-        _check_bounds(occupations, cutoff)
+        state = cls.__new__(cls)
+        state._prune(modes, occupations, amplitudes, cutoff, leaked_norm, support, mag2, photons)
+        return state
+
+    def _prune(self, modes, occupations, amplitudes, cutoff, leaked_norm,
+               support=None, mag2=None, photons=None) -> None:
+        """Store the arrays, with every pruned term moved to its state's ledger.
+
+        The one pruning rule of both constructors: a term stays if ``_kept``
+        says so, and the rest are added to the ledger as one pairwise sum per
+        state, in row order.  A batch zeroes a pruned entry, which leaves the
+        support, and keeps its row, unless the row's total photon number lies
+        past the largest one any state holds and such rows are at least half
+        of the batch: those are dropped.  So a batch holds at most twice the
+        rows up to that photon number.  A ``PureState``'s rows are its terms,
+        so it drops every pruned one.
+        """
         if mag2 is None:
             mag2 = _mag2(amplitudes)
         leaked = np.asarray(leaked_norm, dtype=float)
@@ -295,7 +297,7 @@ class StateBatch:
         else:
             keep = _kept(mag2)
             leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
-            if cls is StateBatch:
+            if type(self) is StateBatch:
                 if photons is None:
                     photons = occupations.sum(axis=1)
                 rows = photons <= photons.compress(keep.any(axis=0)).max(initial=-1)
@@ -309,9 +311,7 @@ class StateBatch:
                 support = None
                 occupations = occupations.compress(keep[0], axis=0)
                 amplitudes = amplitudes.compress(keep[0], axis=1)
-        state = cls.__new__(cls)
-        state._set(modes, occupations, amplitudes, cutoff, leaked, support)
-        return state
+        self._set(tuple(modes), occupations, amplitudes, cutoff, leaked, support)
 
     def _set(self, modes, occupations, amplitudes, cutoff, leaked, support) -> None:
         occupations.setflags(write=False)
@@ -398,11 +398,11 @@ class PureState(StateBatch):
         modes = tuple(modes)
         _validate_modes(modes)
         _check_cutoff(len(modes), cutoff)
+        leaked = np.array([float(leaked_norm)])
         # terms are read and checked in insertion order and the caller's mode
-        # order, and a pruned term joins the ledger then; the first term that
-        # cannot be read is reported unless a term before it is out of bounds
-        occs, kept, error = [], {}, None
-        leaked = float(leaked_norm)
+        # order; the first term that cannot be read is reported unless a term
+        # before it is out of bounds
+        occs, amps, error = [], [], None
         try:
             for occ, amp in terms.items():
                 try:
@@ -414,12 +414,7 @@ class PureState(StateBatch):
                         f"occupation {occ} has length {len(occ)}, expected {len(modes)}"
                     )
                 occs.append(occ)
-                amp = complex(amp)
-                mag2 = amp.real * amp.real + amp.imag * amp.imag  # as _mag2
-                if _kept(mag2):
-                    kept[len(occs) - 1] = amp
-                else:
-                    leaked += mag2
+                amps.append(complex(amp))
         except (TypeError, ValueError, OverflowError) as exc:
             error = exc
         try:
@@ -433,11 +428,12 @@ class PureState(StateBatch):
         if canonical != modes:
             occupations = occupations[:, [modes.index(m) for m in canonical]]
             occs, modes = list(map(tuple, occupations.tolist())), canonical
-        order = sorted(kept, key=occs.__getitem__)
+        order = sorted(range(len(occs)), key=occs.__getitem__)
         if order != list(range(len(occs))):
             occupations = occupations.take(order, axis=0)
-        amplitudes = np.array([[kept[i] for i in order]], dtype=np.complex128)
-        self._set(modes, occupations, amplitudes, cutoff, np.array([leaked]), None)
+            amps = [amps[i] for i in order]
+        amplitudes = np.array([amps], dtype=np.complex128)
+        self._prune(modes, occupations, amplitudes, cutoff, leaked)
 
     @property
     def amplitudes(self) -> np.ndarray:

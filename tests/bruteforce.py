@@ -13,10 +13,10 @@ loop; it multiplies the same per-step factors and adds the contributions in
 the same order as the vectorised kernel, and serves as its reference.  Its
 ledger sums the input and output norms as the kernel does: one numpy
 pairwise ``sum`` over the terms' |a|^2 in lexicographic order, so a deficit
-that cancels to a few ulps of the norm still agrees to the bit.  Terms the
-``PureState`` constructor prunes join the ledger one by one, where the
-kernel adds them as one sum, so a ledger with pruned terms may differ from
-the kernel's in its last bits.
+that cancels to a few ulps of the norm still agrees to the bit.  The
+``PureState`` constructor prunes by the kernel's rule and adds the pruned
+terms to the ledger as one sum in key order, as the kernel does, so the
+whole ledger agrees to the bit.
 """
 
 import itertools

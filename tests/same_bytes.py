@@ -310,7 +310,7 @@ def kernels(sec: Section, seed: int = 20260) -> None:
             spec = PdcSpec(2, 3, g[2])
             sec.state(apply_type2_pdc(qutrit, spec))
             sec.state(apply_type2_pdc(StateBatch.of(qutrit, 2), [spec, PdcSpec(2, 3, g[3])]))
-    # pruned terms join a nonzero ledger one by one, in insertion order
+    # pruned terms join a nonzero ledger as one sum, in key order
     for case in range(40):
         sec.case("ledger", case, hashed=False)
         n_tiny = int(rng.integers(2, 14))

@@ -14,7 +14,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 from bruteforce import apply_two_mode_squeezer_scalar
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fockherald import (
@@ -22,10 +22,12 @@ from fockherald import (
     FockError,
     InputCoefficients,
     ModeLabel,
+    PdcSpec,
     PureState,
     SqueezerSpec,
     StateBatch,
     apply_two_mode_squeezer,
+    apply_type2_pdc,
     fidelity,
     fix_global_phase,
     herald_weights,
@@ -35,11 +37,13 @@ from fockherald import (
     project,
     run_qubit_teleport,
     run_qutrit_teleport,
+    superpose,
     sweep,
 )
 from fockherald import protocols
 from fockherald.cli import main
-from fockherald.protocols import SWEEP_CHUNK
+from fockherald.protocols import NLS, QUBIT_TELEPORT, QUTRIT_TELEPORT, SWEEP_CHUNK, _basis_sum
+from fockherald.states import canonical_modes
 
 M = tuple(ModeLabel(p) for p in range(3))
 
@@ -200,13 +204,13 @@ def test_batch_rows_match_scalar_reference(cutoff, gammas, amps):
     phased = fix_global_phase(outcome.conditional_state)
     overlaps, norms = inner_product(batch, psi), batch.norm_sq()
     for b, (s1, s2) in enumerate(zip(first, second)):
-        # the terms are bit-identical to the reference loop, whose ledger
-        # sums the norms as the kernel does; the single-state kernel matches fully
+        # bit-identical to the reference loop, whose ledger sums the norms
+        # and prunes as the kernel does, and to the single-state kernel
         loop = apply_two_mode_squeezer_scalar(apply_two_mode_squeezer_scalar(psi, s1), s2)
         reference = apply_two_mode_squeezer(apply_two_mode_squeezer(psi, s1), s2)
         assert np.array_equal(batch[b].occupations, loop.occupations)
         assert batch[b].amplitudes.view(float).tobytes() == loop.amplitudes.view(float).tobytes()
-        assert batch[b].leaked_norm == pytest.approx(loop.leaked_norm, rel=1e-12, abs=1e-15)
+        assert batch[b].leaked_norm == loop.leaked_norm
         assert same_state(batch[b], reference)
         single = project(reference, pattern)
         assert outcome.probability[b] == single.probability
@@ -222,6 +226,55 @@ def test_batch_rows_match_scalar_reference(cutoff, gammas, amps):
             ref_state, ref_norm = normalize(batch[b])
             assert norm[b] == ref_norm
             assert same_state(normed[b], ref_state)
+
+
+def assert_well_formed(state):
+    """What ``StateBatch._from_arrays`` takes on trust: every state a kernel builds has it.
+
+    Canonical modes; one occupation column per mode and one row per
+    amplitude column; one ledger and one support row per state; occupations
+    in [0, cutoff]; rows unique and in lexicographic order.
+    """
+    occ, amp = state.occupations, np.atleast_2d(state.amplitudes)
+    assert state.modes == canonical_modes(state.modes)
+    assert occ.dtype == np.int64 and occ.shape == (amp.shape[1], len(state.modes))
+    assert np.shape(state.leaked_norm) == np.shape(state.amplitudes)[:-1]
+    assert state.support is None or state.support.shape == amp.shape
+    assert ((occ >= 0) & (occ <= state.cutoff)).all()
+    keys = occ @ (state.cutoff + 1) ** np.arange(len(state.modes) - 1, -1, -1)
+    assert (np.diff(keys) > 0).all()
+
+
+COUPLING = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.9))
+
+
+@given(
+    circuit=st.sampled_from([NLS, QUBIT_TELEPORT, QUTRIT_TELEPORT]),
+    cutoff=st.integers(min_value=1, max_value=12),
+    params=st.lists(st.tuples(COUPLING, COUPLING), min_size=1, max_size=3),
+    cs=st.tuples(*[st.one_of(st.just(0.0), st.complex_numbers(max_magnitude=1.0))] * 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_kernel_output_meets_the_array_contract(circuit, cutoff, params, cs):
+    cs = [c if max(occ) <= cutoff else 0.0 for c, occ in zip(cs, circuit.inputs)]
+    assume(any(cs))
+    psi = StateBatch.of(_basis_sum(circuit.modes, circuit.inputs, cs, cutoff), len(params))
+    assert_well_formed(psi)
+    for spec, a, b, g in circuit.layers:
+        apply = apply_type2_pdc if spec is PdcSpec else apply_two_mode_squeezer
+        psi = apply(psi, [spec(a, b, p[g]) for p in params])
+        assert_well_formed(psi)
+    conditional = project(psi, DetectionPattern({m: 1 for m in circuit.detected})).conditional_state
+    assert_well_formed(conditional)
+    assert_well_formed(fix_global_phase(conditional))
+    states = [psi[b] for b in range(len(psi))]
+    for state in states:
+        assert_well_formed(state)
+    assert_well_formed(superpose([(1.0, state) for state in states] + [(0.5j, states[0])]))
+    norms = psi.norm_sq()
+    if min(norms) > 1e-12:
+        assert_well_formed(normalize(psi)[0])
+        assert_well_formed(normalize(states[0])[0])
 
 
 def test_pruning_gives_rows_their_own_support():

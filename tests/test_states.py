@@ -343,11 +343,12 @@ def _pruned_ledger_terms():
     }
 
 
-def test_pruned_terms_join_the_ledger_in_insertion_order():
-    # one by one onto the incoming ledger, in insertion order; a pairwise
-    # sum of the pruned terms in row order gives 0.0004954350870920779
+def test_pruned_terms_join_the_ledger_as_one_sum_in_key_order():
+    # onto the incoming ledger as one pairwise sum of the pruned terms in row
+    # order, as the kernels add theirs; adding them one by one in insertion
+    # order gives 0.000495435087092078
     st_ = PureState((M1,), _pruned_ledger_terms(), 8, 0.000495435087091941)
-    assert repr(st_.leaked_norm) == "0.000495435087092078"
+    assert repr(st_.leaked_norm) == "0.0004954350870920779"
     assert st_.terms == {(0,): 1.0}
     data = {
         "modes": [{"path": 1, "pol": None}],
@@ -356,7 +357,7 @@ def test_pruned_terms_join_the_ledger_in_insertion_order():
         "terms": [{"occ": list(occ), "re": a, "im": 0.0} for occ, a in _pruned_ledger_terms().items()],
     }
     back = PureState.from_dict(data)
-    assert repr(back.leaked_norm) == "0.000495435087092078"
+    assert repr(back.leaked_norm) == "0.0004954350870920779"
     assert back.terms == {(0,): 1.0}
 
 
