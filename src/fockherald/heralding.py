@@ -61,14 +61,14 @@ class HeraldOutcome:
     probability: float | np.ndarray
 
 
-def _detected_indices(state: StateBatch, modes) -> list[int]:
+def _detected_indices(modes: tuple[ModeLabel, ...], detected) -> list[int]:
     idx = []
-    for mode in modes:
+    for mode in detected:
         try:
-            idx.append(state.modes.index(mode))
+            idx.append(modes.index(mode))
         except ValueError:
             raise ModeMismatchError(f"detected mode {mode} not in state") from None
-    if len(idx) >= len(state.modes):
+    if len(idx) >= len(modes):
         raise ModeMismatchError("detected modes must be a strict subset")
     return idx
 
@@ -79,16 +79,30 @@ def project(state: StateBatch, pattern: DetectionPattern) -> HeraldOutcome:
     A state whose herald probability is at most ``EPS_ZERO`` conditions to
     the empty state with its ledger unchanged.
     """
-    items = pattern.sorted_items()
-    idx = _detected_indices(state, [m for m, _ in items])
-    for (mode, count) in items:
-        if count > state.cutoff:
-            raise FockError(f"pattern count {count} on {mode} exceeds cutoff")
-    keep_idx = [i for i in range(len(state.modes)) if i not in idx]
-    kept_modes = [state.modes[i] for i in keep_idx]
+    idx, counts, keep_idx, kept_modes = _herald_columns(state.modes, state.cutoff, pattern)
+    match, kept_occ = _herald_rows(state.occupations, idx, counts, keep_idx)
+    return _condition(state, kept_modes, match, kept_occ)
 
-    occ = state.occupations
-    match = (occ[:, idx] == [c for _, c in items]).all(axis=1)
+
+def _herald_columns(modes: tuple[ModeLabel, ...], cutoff: int, pattern: DetectionPattern):
+    """(detected columns, counts, kept columns, kept modes) of ``pattern`` on ``modes``."""
+    items = pattern.sorted_items()
+    idx = _detected_indices(modes, [m for m, _ in items])
+    for (mode, count) in items:
+        if count > cutoff:
+            raise FockError(f"pattern count {count} on {mode} exceeds cutoff")
+    keep_idx = [i for i in range(len(modes)) if i not in idx]
+    return idx, [c for _, c in items], keep_idx, tuple(modes[i] for i in keep_idx)
+
+
+def _herald_rows(occ: np.ndarray, idx, counts, keep_idx) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``occ`` that match the herald, and their kept columns."""
+    match = (occ[:, idx] == counts).all(axis=1)
+    return match, occ.compress(match, axis=0)[:, keep_idx]
+
+
+def _condition(state: StateBatch, kept_modes, match, kept_occ) -> HeraldOutcome:
+    """``project``'s values: ``state`` on the rows of ``_herald_rows``, normalized."""
     amp = state._amps.compress(match, axis=1)
     support = None if state.support is None else state.support.compress(match, axis=1)
     mag2 = _mag2(amp)
@@ -102,9 +116,7 @@ def project(state: StateBatch, pattern: DetectionPattern) -> HeraldOutcome:
             support = np.ones(amp.shape, dtype=bool)
         support = support & rows
     unnorm = type(state)._from_arrays(
-        kept_modes, occ.compress(match, axis=0)[:, keep_idx], amp, state.cutoff,
-        state._ledger, support, mag2,
-    )
+        kept_modes, kept_occ, amp, state.cutoff, state._ledger, support, mag2)
     # a heralded state's norm is sqrt(prob): unnorm holds the same entries
     conditional = _rescale(unnorm, [math.sqrt(p) for p in probs], heralded)
     return HeraldOutcome(conditional, state._per_state(probs))
@@ -119,7 +131,7 @@ def herald_weights(
     order of ``detected``, and patterns come in lexicographic order of those
     tuples.  Weights sum to the state's squared norm (up to the leaked tail).
     """
-    idx = sorted(_detected_indices(state, detected))
+    idx = sorted(_detected_indices(state.modes, detected))
     counts = state.occupations[:, idx]
     keys = counts @ _key_strides(len(idx), state.cutoff)
     first, weights = _merge_by_key(keys, _mag2(state.amplitudes))

@@ -10,7 +10,9 @@ and ``run_qutrit_teleport``; ``TELEPORTS`` names the two teleports, and
 ``run_teleport``, ``sweep`` and ``optimize_teleport_success`` take a
 teleport by that name.  Parameter constraint solvers and a success
 probability optimizer/sweep layer live here as well; a sweep runs its grid
-through the circuit's layers as one ``StateBatch``.
+through the circuit's layers as one ``StateBatch``.  What a run builds from
+the circuit, the cutoff and which coefficients are nonzero alone is its run
+plan (``_Plan``), built once and kept; a run computes only values over it.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .heralding import DetectionPattern, herald_weights, project
+from .heralding import DetectionPattern, _condition, _herald_columns, _herald_rows, herald_weights
 from .squeezers import (
+    LAYOUT_MEMO,
     PdcSpec,
     SqueezerSpec,
     apply_two_mode_squeezer,
-    apply_type2_pdc,
+    _check_pdc_modes,
     _pdc_pairs,
 )
 from .states import (
@@ -41,6 +44,7 @@ from .states import (
     StateBatch,
     ZeroNormError,
     _overlaps,
+    _shared_rows,
 )
 
 if TYPE_CHECKING:
@@ -106,10 +110,10 @@ class ProtocolResult:
     ledger divided by the herald probability, capped at 1, a scale of the
     truncation error per unit of heralded weight rather than a bound on it.
 
-    ``pre_herald_state`` is the state the herald acts on; the weight of every
-    pattern on the ``detected`` modes, ``herald_distribution``, is computed
-    from it on first read.  Only the heralded pattern is certified: entries
-    of other patterns near the cutoff can be wrong.
+    ``pre_herald_state``, the state the herald acts on, is taken from the
+    run's batch on first read, and so is ``herald_distribution``, the weight
+    of every pattern on the ``detected`` modes.  Only the heralded pattern is
+    certified: entries of other patterns near the cutoff can be wrong.
     """
 
     protocol: str
@@ -122,9 +126,14 @@ class ProtocolResult:
     leaked_norm: float
     paper_claimed_probability: float | None = None
     closed_form_probability: float | None = None
-    pre_herald_state: PureState | None = field(default=None, repr=False)
+    _pre_herald: StateBatch | None = field(default=None, repr=False)
     detected: tuple[ModeLabel, ...] = ()
     exact: bool = False
+
+    @functools.cached_property
+    def pre_herald_state(self) -> PureState | None:
+        """State 0 of the pre-herald batch."""
+        return None if self._pre_herald is None else self._pre_herald[0]
 
     @functools.cached_property
     def herald_distribution(self) -> list[tuple[tuple[int, ...], float]]:
@@ -194,12 +203,17 @@ def solve_teleport_constraint(gamma2: float) -> float:
 def fidelity(a: StateBatch, b: PureState) -> float | np.ndarray:
     """|<a|b>|^2 / (<a|a><b|b>); insensitive to global phases.
 
-    A batch ``a`` gives one fidelity per state.
+    A batch ``a`` gives one fidelity per state, a batch of none an empty array.
     """
+    return _fidelity(a, b)
+
+
+def _fidelity(a: StateBatch, b: PureState, rows=None) -> float | np.ndarray:
+    """``fidelity`` over ``rows``, ``states._shared_rows(a, b)``; found here if None."""
     na, nb = a._norms_sq().tolist(), b.norm_sq()
-    if min(na) <= EPS_ZERO or nb <= EPS_ZERO:
+    if min(na, default=math.inf) <= EPS_ZERO or nb <= EPS_ZERO:
         raise ZeroNormError("fidelity requires nonzero states")
-    return a._per_state([abs(ip) ** 2 / (n * nb) for ip, n in zip(_overlaps(a, b), na)])
+    return a._per_state([abs(ip) ** 2 / (n * nb) for ip, n in zip(_overlaps(a, b, rows), na)])
 
 
 def fix_global_phase(state: StateBatch) -> StateBatch:
@@ -477,7 +491,7 @@ def run_circuit(
         paper_claimed_probability=None if circuit.paper_claim is None
         else circuit.paper_claim(*gammas),
         closed_form_probability=circuit.closed_form(*gammas, *(abs(c) ** 2 for c in cs)),
-        pre_herald_state=psi[0],
+        _pre_herald=psi,
         detected=circuit.detected,
         exact=exact,
     )
@@ -494,41 +508,42 @@ def _run_batch(
     Returns the pre-herald batch, the target, and per state the herald
     probability, the phase-fixed conditional state and its fidelity to the
     target (0 where the herald probability is at most ``EPS_ZERO``).
-    ``cutoff=None`` is the herald cutoff of the input.
+    ``cutoff=None`` is the herald cutoff of the input.  The structure comes
+    from the run plan (``_plan``); this computes the values.
     """
     cs = (coeffs.c0, coeffs.c1, coeffs.c2)
     if cutoff is None:
         cutoff = _herald_cutoff(circuit, cs)
         if cutoff == math.inf:
             raise FockError(f"no finite cutoff decides the herald of {circuit.name}")
-    rest = [m for m in circuit.modes if m not in circuit.detected]
-    if set(circuit.out_modes) != set(rest):
-        out, rest = (", ".join(map(str, ms)) for ms in (circuit.out_modes, rest))
-        raise ModeMismatchError(
-            f"{circuit.name}: out_modes ({out}) are not its modes minus detected ({rest})")
-    psi = StateBatch.of(_basis_sum(circuit.modes, circuit.inputs, cs, cutoff), len(params))
-    for spec, a, b, g in circuit.layers:
-        apply = apply_type2_pdc if spec is PdcSpec else apply_two_mode_squeezer
-        psi = apply(psi, [spec(a, b, (p.gamma1, p.gamma2)[g]) for p in params])
+    nonzero = tuple(c != 0 for c in cs)
+    # only an int cutoff is memoized: any other raises as the plan is built
+    plan = (_plan if isinstance(cutoff, int) else _Plan)(circuit, cutoff, nonzero)
+    psi = StateBatch.of(_basis_state(*plan.inputs, cs), len(params))
+    gammas = [(p.gamma1, p.gamma2) for p in params]
+    for ma, mb, g in plan.squeezers:
+        psi = apply_two_mode_squeezer(psi, [SqueezerSpec(ma, mb, x[g]) for x in gammas])
     signed = [-c if i in circuit.negated else c for i, c in enumerate(cs)]
-    target = fix_global_phase(_basis_sum(circuit.out_modes, circuit.targets, signed, cutoff))
+    target = fix_global_phase(_basis_state(*plan.targets, signed))
 
-    outcome = project(psi, DetectionPattern({m: 1 for m in circuit.detected}))
+    idx, counts, keep_idx, kept_modes = plan.herald
+    rows = plan.reuse("herald", (psi.occupations,),
+                      lambda: _herald_rows(psi.occupations, idx, counts, keep_idx))
+    outcome = _condition(psi, kept_modes, *rows)
     heralded = outcome.probability > EPS_ZERO
     out_state = fix_global_phase(outcome.conditional_state)
     fid = np.zeros(len(params))
     if heralded.any():
-        fid[heralded] = fidelity(out_state.take(heralded), target)
+        kept = out_state.take(heralded)
+        rows = plan.reuse("overlap", (kept.occupations, target.occupations),
+                          lambda: _shared_rows(kept, target))
+        fid[heralded] = _fidelity(kept, target, rows)
     return psi, target, outcome.probability, out_state, fid
 
 
-def _basis_sum(
-    modes: tuple[ModeLabel, ...],
-    occs: Sequence[tuple[int, ...]],
-    coeffs: Sequence[complex],
-    cutoff: int,
-) -> PureState:
-    """sum_i coeffs[i] |occs[i]>, built by the mapping constructor in one step.
+def _basis_sum(modes: tuple[ModeLabel, ...], occs: Sequence[tuple[int, ...]],
+               coeffs: Sequence[complex], cutoff: int) -> PureState:
+    """sum_i coeffs[i] |occs[i]>, as a run builds its input and target.
 
     Bit for bit what ``superpose`` gives over ``make_basis_state`` terms, and
     the same errors: zero coefficients add no term, each amplitude is the
@@ -536,13 +551,79 @@ def _basis_sum(
     as ``superpose``'s ``bincount`` adds them, which also turns a -0.0 part
     into +0.0.
     """
-    terms: dict[tuple[int, ...], complex] = {}
-    for c, occ in zip(coeffs, occs):
-        if c != 0:
-            terms[occ] = terms.get(occ, 0j) + complex(c) * (1 + 0j)
-    if not terms:
+    return _basis_state(*_basis_rows(modes, occs, [c != 0 for c in coeffs], cutoff), coeffs)
+
+
+def _basis_rows(modes: tuple[ModeLabel, ...], occs: Sequence[tuple[int, ...]],
+                nonzero: Sequence[bool], cutoff: int) -> tuple[PureState, list[list[int]]]:
+    """The rows of sum_i c_i |occs[i]> over the i that ``nonzero`` marks, as a
+    state built by the mapping constructor (so with its checks) with placeholder
+    amplitudes, and for each row the i that feed it, in input order."""
+    feeds: dict[tuple[int, ...], list[int]] = {}
+    for i, (on, occ) in enumerate(zip(nonzero, occs)):
+        if on:
+            feeds.setdefault(occ, []).append(i)
+    if not feeds:
         raise FockError("superpose requires at least one term")
-    return PureState(modes, terms, cutoff)
+    rows = PureState(modes, dict.fromkeys(feeds, 1.0), cutoff)
+    columns = [rows.modes.index(m) for m in modes]  # back to the caller's mode order
+    return rows, [feeds[tuple(occ)] for occ in rows.occupations[:, columns].tolist()]
+
+
+def _basis_state(rows: PureState, feeds: list[list[int]], coeffs: Sequence[complex]) -> PureState:
+    """The state of ``_basis_rows`` with ``coeffs``: each row's sum from 0 in input order."""
+    amps = []
+    for feed in feeds:
+        amp = 0j
+        for i in feed:
+            amp = amp + complex(coeffs[i]) * (1 + 0j)
+        amps.append(amp)
+    return PureState._from_arrays(rows.modes, rows.occupations,
+                                  np.array([amps], dtype=np.complex128), rows.cutoff, np.zeros(1))
+
+
+class _Plan:
+    """What the runs of a circuit at one cutoff and input support share, built
+    with a run's checks in its order: input and target as ``_basis_rows``, every
+    squeezer as (mode, mode, coupling index) in the order they apply, over the
+    state's own labels, and the herald as ``heralding._herald_columns``."""
+
+    __slots__ = ("inputs", "squeezers", "targets", "herald", "_kept")
+
+    def __init__(self, circuit: Circuit, cutoff: int, nonzero: tuple[bool, ...]):
+        rest = [m for m in circuit.modes if m not in circuit.detected]
+        if set(circuit.out_modes) != set(rest):
+            out, rest = (", ".join(map(str, ms)) for ms in (circuit.out_modes, rest))
+            raise ModeMismatchError(
+                f"{circuit.name}: out_modes ({out}) are not its modes minus detected ({rest})")
+        self.inputs = _basis_rows(circuit.modes, circuit.inputs, nonzero, cutoff)
+        state = self.inputs[0]
+        self.squeezers = []
+        for spec, a, b, g in circuit.layers:
+            spec(a, b, 0.0)  # the spec's own checks
+            pairs = ((a, b),)
+            if spec is PdcSpec:
+                pairs = _pdc_pairs(a, b)
+                _check_pdc_modes(pairs, state.modes)
+            for pair in pairs:
+                self.squeezers.append((*(state.modes[state.index_of(m)] for m in pair), g))
+        self.targets = _basis_rows(circuit.out_modes, circuit.targets, nonzero, cutoff)
+        pattern = DetectionPattern({m: 1 for m in circuit.detected})
+        self.herald = _herald_columns(state.modes, state.cutoff, pattern)
+        self._kept = {}
+
+    def reuse(self, name: str, arrays: tuple, build: Callable):
+        """``build()``, kept under ``name`` while ``arrays`` are the very objects it read:
+        read-only and held by the entry, so of the same values.  An entry is one
+        tuple, so a concurrent run never pairs arrays with what others built."""
+        entry = self._kept.get(name)
+        if entry is None or any(x is not y for x, y in zip(entry[0], arrays)):
+            entry = self._kept[name] = (arrays, build())
+        return entry[1]
+
+
+# the run plans of the last circuits run, each built on its first run
+_plan = functools.lru_cache(maxsize=LAYOUT_MEMO, typed=True)(_Plan)
 
 
 _M1, _M2, _M3 = ModeLabel(1), ModeLabel(2), ModeLabel(3)

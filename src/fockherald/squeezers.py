@@ -321,6 +321,13 @@ def _pdc_pairs(path_a: int, path_b: int) -> tuple[tuple[ModeLabel, ModeLabel], .
     )
 
 
+def _check_pdc_modes(pairs, modes: tuple[ModeLabel, ...]) -> None:
+    """Raise ``ModeMismatchError`` for the first of a PDC's ``pairs`` not in ``modes``."""
+    for ma, mb in pairs:
+        if ma not in modes or mb not in modes:
+            raise ModeMismatchError(f"PDC requires polarized modes {ma}, {mb}")
+
+
 def apply_type2_pdc(
     state: StateBatch, spec: PdcSpec | Sequence[PdcSpec]
 ) -> StateBatch:
@@ -330,13 +337,8 @@ def apply_type2_pdc(
     """
     specs = (spec,) if isinstance(spec, PdcSpec) else spec
     pairs = [_pdc_pairs(sp.path_a, sp.path_b) for sp in specs]
-    layers = [
-        [SqueezerSpec(*p[i], sp.gamma) for p, sp in zip(pairs, specs)] for i in (0, 1)
-    ]
-    for layer in layers:
-        ma, mb = layer[0].mode_a, layer[0].mode_b
-        if ma not in state.modes or mb not in state.modes:
-            raise ModeMismatchError(f"PDC requires polarized modes {ma}, {mb}")
+    layers = [[SqueezerSpec(*p[i], sp.gamma) for p, sp in zip(pairs, specs)] for i in (0, 1)]
+    _check_pdc_modes(pairs[0], state.modes)
     for layer in layers:
         state = apply_two_mode_squeezer(state, layer)
     return state

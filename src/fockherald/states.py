@@ -568,12 +568,8 @@ def inner_product(a: StateBatch, b: PureState) -> complex | np.ndarray:
     return a._per_state(_overlaps(a, b))
 
 
-def _overlaps(batch: StateBatch, b: PureState) -> list[complex]:
-    """<a|b> for every state a of ``batch``, each one 1-d product summed by a 1-d ``sum``.
-
-    The products of all states are one flat 1-d product: numpy's complex
-    product rounds differently on a 2-d broadcast.
-    """
+def _shared_rows(batch: StateBatch, b: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``batch`` and of ``b`` that hold the same occupation, in key order."""
     if batch.modes != b.modes:
         raise ModeMismatchError("inner_product requires identical mode sets")
     # rows are unique within each state, so a key shared by both appears
@@ -583,8 +579,18 @@ def _overlaps(batch: StateBatch, b: PureState) -> list[complex]:
     order = keys.argsort(kind="stable")
     sorted_keys = keys.take(order)
     shared = (sorted_keys[1:] == sorted_keys[:-1]).nonzero()[0]
-    rows_a = order.take(shared)
-    amp_b = b.amplitudes.take(order.take(shared + 1) - len(batch.occupations))
+    return order.take(shared), order.take(shared + 1) - len(batch.occupations)
+
+
+def _overlaps(batch: StateBatch, b: PureState, rows=None) -> list[complex]:
+    """<a|b> for every state a of ``batch``, each one 1-d product summed by a 1-d ``sum``.
+
+    ``rows`` is ``_shared_rows(batch, b)``, found here if None.  The products
+    of all states are one flat 1-d product: numpy's complex product rounds
+    differently on a 2-d broadcast.
+    """
+    rows_a, rows_b = _shared_rows(batch, b) if rows is None else rows
+    amp_b = b.amplitudes.take(rows_b)
     if batch.support is None:
         prods = batch._amps.take(rows_a, axis=1).conj().ravel() * np.tile(amp_b, len(batch))
         return _row_sums(prods.reshape(len(batch), len(rows_a)), None).tolist()

@@ -8,6 +8,12 @@ factored production path.
 ``transfer`` gives the signed heralded amplitudes of the paper's circuits
 in closed form.
 
+``run_batch_reference`` is a circuit run as the library ran it before its
+run plans: the input and the target built by the mapping constructor, every
+layer through the public ``apply_type2_pdc`` or ``apply_two_mode_squeezer``,
+then ``project``, ``fix_global_phase`` and ``fidelity``; it is the reference
+of ``protocols._run_batch``.
+
 ``apply_two_mode_squeezer_scalar`` is the squeezer as a term-by-term dict
 loop; it multiplies the same per-step factors and adds the contributions in
 the same order as the vectorised kernel, and serves as its reference.  Its
@@ -26,7 +32,19 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from fockherald import PureState
+from fockherald import (
+    DetectionPattern,
+    PdcSpec,
+    PureState,
+    StateBatch,
+    apply_two_mode_squeezer,
+    apply_type2_pdc,
+    fidelity,
+    fix_global_phase,
+    project,
+)
+from fockherald.protocols import _herald_cutoff
+from fockherald.states import EPS_ZERO, FockError, ModeMismatchError
 
 
 def apply_two_mode_squeezer_scalar(state, spec):
@@ -64,6 +82,45 @@ def apply_two_mode_squeezer_scalar(state, spec):
     deficit = np.array(in_mag2).sum() - np.array(out_mag2).sum()
     leaked = state.leaked_norm + max(0.0, float(deficit))
     return PureState(state.modes, out, cutoff, leaked)
+
+
+def run_batch_reference(circuit, coeffs, params, cutoff):
+    """``protocols._run_batch`` with every structure built anew and every step public."""
+    cs = (coeffs.c0, coeffs.c1, coeffs.c2)
+    if cutoff is None:
+        cutoff = _herald_cutoff(circuit, cs)
+        if cutoff == math.inf:
+            raise FockError(f"no finite cutoff decides the herald of {circuit.name}")
+    rest = [m for m in circuit.modes if m not in circuit.detected]
+    if set(circuit.out_modes) != set(rest):
+        out, rest = (", ".join(map(str, ms)) for ms in (circuit.out_modes, rest))
+        raise ModeMismatchError(
+            f"{circuit.name}: out_modes ({out}) are not its modes minus detected ({rest})")
+    psi = StateBatch.of(_mapped_sum(circuit.modes, circuit.inputs, cs, cutoff), len(params))
+    for spec, a, b, g in circuit.layers:
+        apply = apply_type2_pdc if spec is PdcSpec else apply_two_mode_squeezer
+        psi = apply(psi, [spec(a, b, (p.gamma1, p.gamma2)[g]) for p in params])
+    signed = [-c if i in circuit.negated else c for i, c in enumerate(cs)]
+    target = fix_global_phase(_mapped_sum(circuit.out_modes, circuit.targets, signed, cutoff))
+
+    outcome = project(psi, DetectionPattern({m: 1 for m in circuit.detected}))
+    heralded = outcome.probability > EPS_ZERO
+    out_state = fix_global_phase(outcome.conditional_state)
+    fid = np.zeros(len(params))
+    if heralded.any():
+        fid[heralded] = fidelity(out_state.take(heralded), target)
+    return psi, target, outcome.probability, out_state, fid
+
+
+def _mapped_sum(modes, occs, coeffs, cutoff):
+    """sum_i coeffs[i] |occs[i]> through the mapping constructor, terms merged in input order."""
+    terms = {}
+    for c, occ in zip(coeffs, occs):
+        if c != 0:
+            terms[occ] = terms.get(occ, 0j) + complex(c) * (1 + 0j)
+    if not terms:
+        raise FockError("superpose requires at least one term")
+    return PureState(modes, terms, cutoff)
 
 
 def transfer(circuit, g1, g2):

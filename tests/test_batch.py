@@ -339,3 +339,15 @@ def test_optimizer_still_scores_infeasible_couplings_zero():
     g2_star, p_star = optimize_teleport_success("teleport-qubit", (0.1, 0.45), tolerance=1e-4)
     assert 0.1 < g2_star < 0.25
     assert p_star > 0.0
+
+
+def test_a_batch_of_no_states_gives_empty_arrays():
+    from fockherald.states import ZeroNormError
+
+    s = PureState(M, {(0, 0, 0): 0.6, (1, 1, 0): 0.8j}, 4)
+    none = StateBatch.of(s, 2).take(np.array([False, False]))
+    assert len(none) == 0
+    for values in (fidelity(none, s), inner_product(none, s), none.norm_sq(), normalize(none)[1]):
+        assert isinstance(values, np.ndarray) and values.shape == (0,)
+    with pytest.raises(ZeroNormError):
+        fidelity(none, PureState(M, {}, 4))
