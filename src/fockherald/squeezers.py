@@ -7,18 +7,21 @@ is exact, and the weight pushed past the cutoff is charged to the state's
 leaked-norm ledger.
 
 The kernel works on a batch of states over one occupation matrix (see
-``states``): the lowering and raising series coefficients of all terms are
-running products (``np.cumprod``) over per-step factor matrices, one row
-per input term or per (term, lowering order) and one block per state, and
-the outputs that land on the same occupation are summed in a fixed order.
-The term structure (a ``_Layout`` of index arrays) depends only on the
+``states``): the lowering and raising series coefficients are running
+products (``np.cumprod``) over per-step factor matrices, one row per
+distinct (n_a, n_b) pair and one block per state, gathered to every input
+term and (term, lowering order), and the outputs that land on the same
+occupation are summed in a fixed order by one ``bincount``.  Everything
+derived from the rows (a ``_Layout`` of index arrays) depends only on the
 occupations, the cutoff and the mode pair.  Pruning masks a batch's
 entries and drops rows only past the largest photon number a state holds
 when that halves the batch (``StateBatch._from_arrays``), so a circuit's
-layers mostly see the same occupations at every coupling, and the last
-``LAYOUT_MEMO`` layouts are kept and reused; each call computes only the
-values.  No per-term Python loop runs and no dict is built.  A slow
-series-exponential oracle is provided for cross-validation.
+layers mostly see the same occupations at every coupling, often the very
+same read-only array, and the last ``LAYOUT_MEMO`` layouts are kept and
+found by a key that reads no row when it gets the array it was built from
+(``_Rows``); each call computes only the values.  No per-term Python loop
+runs and no dict is built.  A slow series-exponential oracle is provided
+for cross-validation.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .states import (
     _mag2,
     _group_by_key,
     _group_sums,
+    _interleave,
     _row_sums,
     make_basis_state,
 )
@@ -138,24 +142,29 @@ def _line_weights(n_modes: int, cutoff: int, ia: int, ib: int) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class _Layout:
-    """The index arrays of one squeezer on one occupation matrix, all read-only.
+    """What a squeezer derives from the rows of one occupation matrix, all read-only.
 
     Lowering row r is (input term ``term[r]``, order k) and raising
-    contribution c is (lowering row ``row[c]``, order j).  ``low_at``,
+    contribution c is (lowering row ``row[c]``, order j).  Both series are
+    computed once per distinct pair of their row: ``low_roots`` per input
+    (n_a, n_b), ``raise_roots`` per lowered (n_a - k, n_b - k).  ``low_at``,
     ``decay_at`` and ``raise_at`` locate each row's and contribution's
     factors in the flattened lowering series, the decay table and the
-    flattened raising series; ``group`` is each contribution's output
-    column, ``occupations`` the output rows and ``photons`` their total
-    photon numbers.  ``by_line`` lists the
-    input rows line by line (fixed spectators and n_a - n_b), each line
-    starting at ``line_starts``, and ``out_line`` is each output's line.
-    Every caller shares a layout, so its arrays are read-only.
+    flattened raising series, and ``half_steps`` holds t / 2 for every decay
+    step t a row reads.  ``group`` numbers each contribution's output column
+    in the float view of the complex sums (2g and 2g + 1, see
+    ``states._group_sums``), ``occupations`` are the output rows and
+    ``photons`` their total photon numbers.  ``by_line`` lists the input
+    rows line by line (fixed spectators and n_a - n_b), each line starting
+    at ``line_starts``, and ``out_line`` is each output's line.  Every caller
+    shares a layout, so its arrays are read-only.
     """
 
     term: np.ndarray
     low_roots: np.ndarray
     low_at: np.ndarray
     decay_at: np.ndarray
+    half_steps: np.ndarray
     row: np.ndarray
     raise_roots: np.ndarray
     raise_at: np.ndarray
@@ -171,28 +180,53 @@ class _Layout:
             getattr(self, name).setflags(write=False)
 
 
+class _Rows:
+    """The memo key of a read-only occupation matrix, which reads no row on a hit.
+
+    It hashes by shape and equals a key of the same array, or else of an
+    equal one: the same array is found in O(1), an equal copy (a fresh
+    state, a batch whose rows pruning dropped) is compared by value, and
+    matrices of equal bytes but other shapes stay apart.  The rows are a
+    state's occupations, which are read-only, so a kept key cannot change.
+    """
+
+    __slots__ = ("occupations",)
+
+    def __init__(self, occupations: np.ndarray):
+        self.occupations = occupations
+
+    def __hash__(self) -> int:
+        return hash(self.occupations.shape)
+
+    def __eq__(self, other) -> bool:
+        a, b = self.occupations, other.occupations
+        return a is b or np.array_equal(a, b)
+
+
 @functools.lru_cache(maxsize=LAYOUT_MEMO)
-def _layout(occ_bytes: bytes, n_modes: int, cutoff: int, ia: int, ib: int) -> _Layout:
-    """The layout of squeezing columns ``ia``, ``ib`` of the occupations ``occ_bytes``.
+def _layout(rows: _Rows, cutoff: int, ia: int, ib: int) -> _Layout:
+    """The layout of squeezing columns ``ia``, ``ib`` of the occupations ``rows``.
 
     It depends on the occupations, the cutoff and the mode pair only, not
-    on the couplings or the amplitudes, so it is built once per key; the
-    key carries the mode count because the bytes do not.
+    on the couplings or the amplitudes, so it is built once per key.
     """
-    occ = np.frombuffer(occ_bytes, dtype=np.int64).reshape(-1, n_modes)
+    occ = rows.occupations
     m, n = occ[:, ia], occ[:, ib]
 
-    # lowering exp(-s ab): term i at order k = 0..min(m, n), one row per term
+    # lowering exp(-s ab): term i at order k = 0..min(m, n).  A term's series
+    # depends only on its (m, n), so it is computed once per distinct pair.
     min_mn = np.minimum(m, n)
     term, k = _ragged(min_mn + 1)
     width = int(min_mn.max(initial=0)) + 1
-    low_roots = _roots(m + 1, n + 1, -1, width)
-    low_at = term * width + k
+    first, pair_of = _group_by_key(m * (cutoff + 1) + n)
+    low_roots = _roots(m.take(first) + 1, n.take(first) + 1, -1, width)
+    low_at = pair_of.take(term) * width + k
     mp, np_ = m.take(term) - k, n.take(term) - k
+    decay_at = mp + np_ + 1
+    half_steps = 0.5 * np.arange(int(decay_at.max(initial=0)) + 1)
 
-    # raising exp(s a†b†): row r = (term, k) feeds j = 0..cutoff - max(mp, np_).
-    # A row's series depends only on its (mp, np_), which few rows differ in,
-    # so it is computed once per distinct pair.
+    # raising exp(s a†b†): row r = (term, k) feeds j = 0..cutoff - max(mp, np_),
+    # its series computed once per distinct (mp, np_) as well
     cap = cutoff - np.maximum(mp, np_)
     row, j = _ragged(cap + 1)
     width = int(cap.max(initial=0)) + 1
@@ -206,7 +240,7 @@ def _layout(occ_bytes: bytes, n_modes: int, cutoff: int, ia: int, ib: int) -> _L
     # all cutoff + 1 - |m - n| outputs of that line, so the outputs are
     # numbered line by line, in the order of ``_line_weights``, and one
     # stable sort by each output's head puts them in key order.
-    line_key, head = _line_weights(n_modes, cutoff, ia, ib) @ occ.T
+    line_key, head = _line_weights(occ.shape[1], cutoff, ia, ib) @ occ.T
     rep, line_of = _group_by_key(line_key)
     length = cutoff + 1 - np.abs(m - n).take(rep)
     start = length.cumsum() - length
@@ -229,8 +263,9 @@ def _layout(occ_bytes: bytes, n_modes: int, cutoff: int, ia: int, ib: int) -> _L
     by_line = line_of.argsort(kind="stable")
     per_line = np.bincount(line_of, minlength=len(rep))
     line_starts = per_line.cumsum() - per_line
-    return _Layout(term, low_roots, low_at, mp + np_ + 1, row, raise_roots, raise_at, group,
-                   out_occ, photons, by_line, line_starts, out_line.take(order))
+    return _Layout(term, low_roots, low_at, decay_at, half_steps, row, raise_roots, raise_at,
+                   _interleave(group), out_occ, photons, by_line, line_starts,
+                   out_line.take(order))
 
 
 def apply_two_mode_squeezer(
@@ -247,25 +282,25 @@ def apply_two_mode_squeezer(
     specs = (spec,) if isinstance(spec, SqueezerSpec) else spec
     if len(specs) != len(state):
         raise FockError(f"{len(specs)} squeezer specs for {len(state)} states")
+    if not specs:
+        raise FockError("a squeezer needs at least one spec: with none there is no mode pair")
     pair_modes = (specs[0].mode_a, specs[0].mode_b)
     if any((sp.mode_a, sp.mode_b) != pair_modes for sp in specs):
         raise ModeMismatchError("a batch of squeezers must act on one pair of modes")
     ia = state.index_of(pair_modes[0])
     ib = state.index_of(pair_modes[1])
     cutoff = state.cutoff
-    occ, amp = state.occupations, state._amps
-    lay = _layout(occ.tobytes(), occ.shape[1], cutoff, ia, ib)
+    lay = _layout(_Rows(state.occupations), cutoff, ia, ib)
     gammas = [sp.gamma for sp in specs]
     s = np.sqrt(gammas)
     # diagonal factor (1-g)^(t/2), tabulated with the same math.exp the
     # term-by-term reference loop calls on the same products
     logs = np.array([math.log1p(-g) if g > 0.0 else 0.0 for g in gammas])
-    half_t = 0.5 * np.arange(2 * cutoff + 2)
-    decay = np.fromiter(map(math.exp, (logs[:, None] * half_t).ravel().tolist()), float)
+    decay = np.fromiter(map(math.exp, (logs[:, None] * lay.half_steps).ravel().tolist()), float)
     decay = decay.reshape(len(gammas), -1)
 
     low = _series(-s, lay.low_roots).take(lay.low_at, axis=1)
-    base = amp.take(lay.term, axis=1) * low * decay.take(lay.decay_at, axis=1)
+    base = state._amps.take(lay.term, axis=1) * low * decay.take(lay.decay_at, axis=1)
     values = base.take(lay.row, axis=1)
     values *= _series(s, lay.raise_roots).take(lay.raise_at, axis=1)
     out_amp = _group_sums(lay.group, values, len(lay.occupations))
@@ -336,6 +371,8 @@ def apply_type2_pdc(
     ``spec`` is one spec or one per state, all on the same two paths.
     """
     specs = (spec,) if isinstance(spec, PdcSpec) else spec
+    if not specs:
+        raise FockError("a PDC needs at least one spec: with none there are no paths")
     pairs = [_pdc_pairs(sp.path_a, sp.path_b) for sp in specs]
     layers = [[SqueezerSpec(*p[i], sp.gamma) for p, sp in zip(pairs, specs)] for i in (0, 1)]
     _check_pdc_modes(pairs[0], state.modes)

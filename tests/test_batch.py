@@ -351,3 +351,15 @@ def test_a_batch_of_no_states_gives_empty_arrays():
         assert isinstance(values, np.ndarray) and values.shape == (0,)
     with pytest.raises(ZeroNormError):
         fidelity(none, PureState(M, {}, 4))
+
+
+def test_a_squeezer_on_no_states_with_no_specs_names_the_missing_pair():
+    # with no spec there is no mode pair to squeeze, so no layout to build
+    s = PureState(QUTRIT_TELEPORT.modes, {(0,) * len(QUTRIT_TELEPORT.modes): 1.0}, 4)
+    none = StateBatch.of(s, 2).take(np.array([False, False]))
+    with pytest.raises(FockError, match="no mode pair"):
+        apply_two_mode_squeezer(none, [])
+    with pytest.raises(FockError, match="no paths"):
+        apply_type2_pdc(none, [])
+    with pytest.raises(FockError, match="no mode pair"):
+        protocols._run_batch(QUTRIT_TELEPORT, InputCoefficients(0.6, 0.48, 0.64), [], 8)

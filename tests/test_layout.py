@@ -7,6 +7,8 @@ layout, mostly depend on the input, the cutoff and the mode pair, not on
 the couplings.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from bruteforce import apply_two_mode_squeezer_scalar
@@ -21,8 +23,8 @@ from fockherald import (
     apply_type2_pdc,
     run_qutrit_teleport,
 )
-from fockherald.protocols import QUTRIT_TELEPORT, GateParams, _basis_sum
-from fockherald.squeezers import LAYOUT_MEMO, _layout
+from fockherald.protocols import QUTRIT_TELEPORT, GateParams, _basis_sum, _plan
+from fockherald.squeezers import LAYOUT_MEMO, _layout, _Rows
 
 COEFFS = InputCoefficients(0.6, 0.48, 0.64)
 
@@ -88,8 +90,8 @@ def test_the_memo_holds_a_qutrit_run_and_is_bounded():
 
 def test_cached_layout_arrays_are_read_only():
     psi = PureState((ModeLabel(1), ModeLabel(2)), {(0, 0): 0.6, (2, 1): 0.8}, 4)
-    lay = _layout(psi.occupations.tobytes(), 2, 4, 0, 1)
-    assert _layout(psi.occupations.tobytes(), 2, 4, 0, 1) is lay
+    lay = _layout(_Rows(psi.occupations), 4, 0, 1)
+    assert _layout(_Rows(psi.occupations), 4, 0, 1) is lay
     for name in lay.__slots__:
         array = getattr(lay, name)
         with pytest.raises(ValueError):
@@ -104,6 +106,7 @@ def test_a_warm_memo_gives_the_reference_loop():
     two = PureState(m[:2], {(0, 0): 0.6, (0, 1): 0.48, (1, 0): 0.64}, 3)
     three = PureState(m, {(0, 0, 0): 0.6, (1, 1, 0): 0.8}, 3)
     assert two.occupations.tobytes() == three.occupations.tobytes()
+    assert _Rows(two.occupations) != _Rows(three.occupations)
     cases = [(two, (m[0], m[1]))]
     for psi in (three, PureState(m, {(0, 0, 0): 0.6, (1, 1, 0): 0.8}, 5),
                 PureState(m, {(0, 1, 0): 0.6, (2, 0, 1): 0.8}, 5)):
@@ -130,3 +133,66 @@ def test_a_pure_state_still_drops_pruned_terms():
     batch = apply_two_mode_squeezer(StateBatch.of(psi), [SqueezerSpec(*modes, 0.02)])
     assert len(batch.occupations) == 13 and batch.support.sum() == 10
     assert batch.leaked_norm[0] == out.leaked_norm
+
+
+def test_the_lowering_series_is_computed_once_per_pair():
+    # the qutrit's last squeezer at cutoff 8: its input rows and its layout
+    params = GateParams.teleport(0.1)
+    psi = StateBatch.of(_basis_sum(QUTRIT_TELEPORT.modes, QUTRIT_TELEPORT.inputs,
+                                   (COEFFS.c0, COEFFS.c1, COEFFS.c2), 8))
+    *first, (ma, mb, _) = _plan(QUTRIT_TELEPORT, 8, (True,) * 3).squeezers
+    for a, b, g in first:
+        psi = apply_two_mode_squeezer(psi, [SqueezerSpec(a, b, (params.gamma1, params.gamma2)[g])])
+    ia, ib = psi.index_of(ma), psi.index_of(mb)
+    lay = _layout(_Rows(psi.occupations), 8, ia, ib)
+    pairs = {(r[ia], r[ib]) for r in psi.occupations.tolist()}
+    assert len(psi.occupations) == 1278
+    assert len(lay.low_roots) == len(pairs) == 18
+    assert len(lay.term) == len(lay.low_at) == len(lay.decay_at)
+    # the decay table covers the steps a row reads, not all 2 * cutoff + 2
+    assert len(lay.half_steps) == lay.decay_at.max() + 1 < 2 * 8 + 2
+    assert len(lay.group) == 2 * len(lay.row)  # a real and an imaginary slot each
+
+
+def test_a_warm_run_reads_no_row_values():
+    # each layer's input is the very array its layout was keyed on: the run
+    # plan's input rows, then the previous layout's output rows
+    _layout.cache_clear()
+    run_qutrit_teleport(COEFFS, 0.05, cutoff=8)
+    seen = []
+
+    def watch(frame, event, arg):
+        if event == "call":
+            seen.append(frame.f_code.co_name)
+        elif event == "c_call":
+            seen.append(arg.__name__)
+
+    before = _layout.cache_info()
+    sys.setprofile(watch)
+    try:
+        run_qutrit_teleport(COEFFS, 0.1734, cutoff=8)
+    finally:
+        sys.setprofile(None)
+    assert _layout.cache_info().hits == before.hits + 4
+    assert "array_equal" not in seen and "tobytes" not in seen
+
+
+def test_an_equal_distinct_array_hits_the_memo():
+    psi = PureState((ModeLabel(1), ModeLabel(2)), {(0, 0): 0.6, (2, 1): 0.8}, 4)
+    spec = SqueezerSpec(ModeLabel(1), ModeLabel(2), 0.3)
+    apply_two_mode_squeezer(psi, spec)
+    copy = PureState((ModeLabel(1), ModeLabel(2)), {(0, 0): 0.6, (2, 1): 0.8}, 4)
+    assert copy.occupations is not psi.occupations
+    before = _layout.cache_info()
+    out = apply_two_mode_squeezer(copy, spec)
+    after = _layout.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert out.amplitudes.tobytes() == apply_two_mode_squeezer(psi, spec).amplitudes.tobytes()
+
+
+def test_clearing_the_memo_makes_the_next_run_cold():
+    run_qutrit_teleport(COEFFS, 0.05, cutoff=8)
+    _layout.cache_clear()
+    assert _layout.cache_info() == (0, 0, LAYOUT_MEMO, 0)
+    run_qutrit_teleport(COEFFS, 0.05, cutoff=8)
+    assert _layout.cache_info()[:2] == (0, 4)
