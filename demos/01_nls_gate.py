@@ -26,7 +26,7 @@ print(f"  fidelity against the sign-flipped target: {res.fidelity:.12f}")
 print(f"  heralded success probability: {res.success_probability:.6f}"
       f"  (~4.25%)")
 print(f"  cutoff {res.output_state.cutoff} (the herald cutoff), exact: {res.exact};"
-      f" weight outside the herald cone: {res.leaked_norm:.2e}")
+      f" weight the herald cone pushed past the cutoff: {res.leaked_norm:.2e}")
 print()
 
 print("off-solution couplings distort the output instead of failing:")

@@ -13,6 +13,10 @@ probability optimizer/sweep layer live here as well; a sweep runs its grid
 through the circuit's layers as one ``StateBatch``.  What a run builds from
 the circuit, the cutoff and which coefficients are nonzero alone is its run
 plan (``_Plan``), built once and kept; a run computes only values over it.
+Among it is each squeezer's herald cone, the rows from which the herald can
+still be reached within the cutoff, and a run hands on only those rows: its
+heralded values keep their bits, its ``leaked_norm`` is the cone's ledger,
+and the full pre-herald state is computed only when it is read.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from .states import (
     PureState,
     StateBatch,
     ZeroNormError,
+    _key_strides,
     _overlaps,
     _shared_rows,
 )
@@ -101,19 +106,24 @@ class ProtocolResult:
 
     ``exact`` certifies the heralded result: the run's cutoff is at least
     the circuit's herald cutoff for this input (``Circuit.herald_cutoffs``)
-    and the pre-herald ledger is finite (a NaN coefficient's terms join it),
-    so ``success_probability``, ``fidelity`` and the output state's terms
-    are what any larger cutoff gives, bit for bit.  ``leaked_norm`` is the
-    pre-herald ledger: weight pushed past the cutoff anywhere, most of which
-    never reaches the herald when ``exact``.  The output state's own
-    ``leaked_norm`` is 0.0 when ``exact``; otherwise it is the pre-herald
-    ledger divided by the herald probability, capped at 1, a scale of the
-    truncation error per unit of heralded weight rather than a bound on it.
+    and ``leaked_norm`` is finite (a NaN coefficient's terms join it), so
+    ``success_probability``, ``fidelity`` and the output state's terms are
+    what any larger cutoff gives, bit for bit.  ``leaked_norm`` is the herald
+    cone's ledger: the weight that the input and, after each squeezer, the
+    rows that can still reach the herald pushed past the cutoff (a run
+    carries only those rows; see ``_Plan``).  It is at most the ledger of
+    the full state the herald acts on, ``pre_herald_state.leaked_norm``, up
+    to rounding, and when ``exact`` none of it could have reached the
+    herald.  The output state's own ``leaked_norm`` is 0.0 when ``exact``;
+    otherwise it is ``leaked_norm`` divided by the herald probability,
+    capped at 1, a scale of the truncation error per unit of heralded
+    weight rather than a bound on it.
 
-    ``pre_herald_state``, the state the herald acts on, is taken from the
-    run's batch on first read, and so is ``herald_distribution``, the weight
-    of every pattern on the ``detected`` modes.  Only the heralded pattern is
-    certified: entries of other patterns near the cutoff can be wrong.
+    ``pre_herald_state``, the state the herald acts on with every row below
+    the cutoff, is computed on first read by the run's loop without the
+    cone, and so is ``herald_distribution``, the weight of every pattern on
+    the ``detected`` modes.  Only the heralded pattern is certified: entries
+    of other patterns near the cutoff can be wrong.
     """
 
     protocol: str
@@ -126,14 +136,14 @@ class ProtocolResult:
     leaked_norm: float
     paper_claimed_probability: float | None = None
     closed_form_probability: float | None = None
-    _pre_herald: StateBatch | None = field(default=None, repr=False)
+    _pre_herald: Callable[[], tuple] | None = field(default=None, repr=False, compare=False)
     detected: tuple[ModeLabel, ...] = ()
     exact: bool = False
 
     @functools.cached_property
     def pre_herald_state(self) -> PureState | None:
-        """State 0 of the pre-herald batch."""
-        return None if self._pre_herald is None else self._pre_herald[0]
+        """State 0 of the pre-herald batch of a run over every row, run now."""
+        return None if self._pre_herald is None else self._pre_herald()[0][0]
 
     @functools.cached_property
     def herald_distribution(self) -> list[tuple[tuple[int, ...], float]]:
@@ -321,24 +331,50 @@ class Circuit:
 # whether at all is a search in a finite box (``_has_integer_point``).
 
 
-def _cone_peak(
+def _paths(
     inputs: tuple[int, ...], pairs: list[tuple[int, int]], detected: list[int]
-) -> int | float:
-    """Largest occupation on any path from ``inputs`` to the herald; 0 if none, inf if unbounded."""
+) -> tuple[list, list, list]:
+    """The herald polyhedron of ``inputs``: every column's occupation after
+    each squeezer, the occupations the squeezers leave, and the herald rows."""
     width = len(pairs) + 1
     occupation = [[n] + [0] * (width - 1) for n in inputs]
-    stages = []  # every occupation a squeezer leaves
+    after, stages = [], []
     for k, (a, b) in enumerate(pairs):
         for c in (a, b):
             occupation[c] = occupation[c][:]
             occupation[c][k + 1] += 1
             stages.append(occupation[c])
+        after.append(occupation[:])
     herald = []  # a detected mode ends at 1: its occupation - 1 is >= 0 and <= 0
     for d in detected:
         row = occupation[d][:]
         row[0] -= 1
         herald += [row, [-x for x in row]]
-    return _peak(stages, herald, list(range(1, width))) or 0
+    return after, stages, herald
+
+
+def _cone_peak(
+    inputs: tuple[int, ...], pairs: list[tuple[int, int]], detected: list[int]
+) -> int | float:
+    """Largest occupation on any path from ``inputs`` to the herald; 0 if none, inf if unbounded."""
+    _, stages, herald = _paths(inputs, pairs, detected)
+    return _peak(stages, herald, list(range(1, len(pairs) + 1))) or 0
+
+
+def _cone_rows(
+    inputs: list[list[int]], pairs: list[tuple[int, int]], detected: list[int], cutoff: int
+) -> list[set[tuple[int, ...]]]:
+    """Per squeezer, the rows it leaves on the paths from any of ``inputs`` to
+    the herald whose occupations all stay within ``cutoff``."""
+    cone = [set() for _ in pairs]
+    for x in inputs:
+        after, stages, herald = _paths(x, pairs, detected)
+        below = [[cutoff - r[0]] + [-c for c in r[1:]] for r in stages]
+        for shifts in _points(stages + below + herald, list(range(1, len(pairs) + 1))):
+            for rows, occupation in zip(cone, after):
+                rows.add(tuple(r[0] + sum(c * s for c, s in zip(r[1:], shifts))
+                               for r in occupation))
+    return cone
 
 
 def _fix(row: list, var: int, value: int | Fraction) -> list:
@@ -395,6 +431,21 @@ def _peak(stages: list, herald: list, free: list[int]) -> int | float | None:
     peaks = (_peak([_fix(r, var, n) for r in stages], [_fix(r, var, n) for r in herald], rest)
              for n in range(math.ceil(lo), math.floor(hi) + 1))
     return max((p for p in peaks if p is not None), default=None)
+
+
+def _points(rows: list, free: list[int]) -> Iterator[list[int]]:
+    """Every integer value of the ``free`` variables that keeps every row >= 0,
+    in lexicographic order; the rows must bound each variable."""
+    if not free:
+        if all(r[0] >= 0 for r in rows):
+            yield []
+        return
+    var, rest = free[0], free[1:]
+    bounds = _range(rows, var, rest)
+    if bounds is not None:
+        for n in range(bounds[0], bounds[1] + 1):
+            for point in _points([_fix(r, var, n) for r in rows], rest):
+                yield [n, *point]
 
 
 def _has_integer_point(rows: list, free: list[int]) -> bool:
@@ -491,7 +542,7 @@ def run_circuit(
         paper_claimed_probability=None if circuit.paper_claim is None
         else circuit.paper_claim(*gammas),
         closed_form_probability=circuit.closed_form(*gammas, *(abs(c) ** 2 for c in cs)),
-        _pre_herald=psi,
+        _pre_herald=functools.partial(_run_batch, circuit, coeffs, [params], psi.cutoff, False),
         detected=circuit.detected,
         exact=exact,
     )
@@ -502,6 +553,7 @@ def _run_batch(
     coeffs: InputCoefficients,
     params: Sequence[GateParams],
     cutoff: int | None,
+    cone: bool = True,
 ) -> tuple[StateBatch, PureState, np.ndarray, StateBatch, np.ndarray]:
     """``circuit`` on one input for every ``params``, as one batch.
 
@@ -509,7 +561,12 @@ def _run_batch(
     probability, the phase-fixed conditional state and its fidelity to the
     target (0 where the herald probability is at most ``EPS_ZERO``).
     ``cutoff=None`` is the herald cutoff of the input.  The structure comes
-    from the run plan (``_plan``); this computes the values.
+    from the run plan (``_plan``); this computes the values.  With ``cone``
+    each squeezer but the last hands on only its cone rows (``_Plan.select``):
+    every contribution to a cone row comes from a cone row, in the same order,
+    so the heralded values keep their bits, and the pre-herald ledger holds
+    only what the input and the cone rows pushed past the cutoff.  Without
+    it the pre-herald batch holds every row below the cutoff.
     """
     cs = (coeffs.c0, coeffs.c1, coeffs.c2)
     if cutoff is None:
@@ -521,8 +578,11 @@ def _run_batch(
     plan = (_plan if isinstance(cutoff, int) else _Plan)(circuit, cutoff, nonzero)
     psi = StateBatch.of(_basis_state(*plan.inputs, cs), len(params))
     gammas = [(p.gamma1, p.gamma2) for p in params]
-    for ma, mb, g in plan.squeezers:
+    last = len(plan.squeezers) - 1
+    for k, (ma, mb, g) in enumerate(plan.squeezers):
         psi = apply_two_mode_squeezer(psi, [SqueezerSpec(ma, mb, x[g]) for x in gammas])
+        if cone and k < last:  # the herald's row match selects the last stage's rows
+            psi = plan.select(k, psi)
     signed = [-c if i in circuit.negated else c for i, c in enumerate(cs)]
     target = fix_global_phase(_basis_state(*plan.targets, signed))
 
@@ -586,9 +646,14 @@ class _Plan:
     """What the runs of a circuit at one cutoff and input support share, built
     with a run's checks in its order: input and target as ``_basis_rows``, every
     squeezer as (mode, mode, coupling index) in the order they apply, over the
-    state's own labels, and the herald as ``heralding._herald_columns``."""
+    state's own labels, and the herald as ``heralding._herald_columns``.
 
-    __slots__ = ("inputs", "squeezers", "targets", "herald", "_kept")
+    ``cone`` holds, per squeezer, the rows it leaves from which the herald can
+    still be reached within the cutoff (read-only, in key order): the rows on
+    the integer paths from a nonzero input to the herald, found from the
+    herald polyhedron (``_cone_rows``), never from a squeezer layout."""
+
+    __slots__ = ("inputs", "squeezers", "targets", "herald", "cone", "_kept")
 
     def __init__(self, circuit: Circuit, cutoff: int, nonzero: tuple[bool, ...]):
         rest = [m for m in circuit.modes if m not in circuit.detected]
@@ -610,9 +675,27 @@ class _Plan:
         self.targets = _basis_rows(circuit.out_modes, circuit.targets, nonzero, cutoff)
         pattern = DetectionPattern({m: 1 for m in circuit.detected})
         self.herald = _herald_columns(state.modes, state.cutoff, pattern)
+        pairs = [(state.index_of(a), state.index_of(b)) for a, b, _ in self.squeezers]
+        cone = _cone_rows(state.occupations.tolist(), pairs, self.herald[0], cutoff)
+        self.cone = tuple(np.array(sorted(rows), dtype=np.int64).reshape(-1, len(state.modes))
+                          for rows in cone)
+        for rows in self.cone:
+            rows.setflags(write=False)
         self._kept = {}
 
-    def reuse(self, name: str, arrays: tuple, build: Callable):
+    def select(self, k: int, psi: StateBatch) -> StateBatch:
+        """``psi``, the output of squeezer ``k``, on the rows of its cone it holds.
+
+        The weight of the other rows is dropped, not charged to the ledger:
+        none of it can reach the herald within the cutoff."""
+        def build():
+            strides = _key_strides(len(psi.modes), psi.cutoff)
+            rows = np.isin(psi.occupations @ strides, self.cone[k] @ strides).nonzero()[0]
+            return rows, psi.occupations.take(rows, axis=0)
+
+        return psi._keep_rows(*self.reuse(k, (psi.occupations,), build))
+
+    def reuse(self, name: str | int, arrays: tuple, build: Callable):
         """``build()``, kept under ``name`` while ``arrays`` are the very objects it read:
         read-only and held by the entry, so of the same values.  An entry is one
         tuple, so a concurrent run never pairs arrays with what others built."""

@@ -364,6 +364,15 @@ class StateBatch:
                    self._ledger[rows], None if self.support is None else self.support[rows])
         return batch
 
+    def _keep_rows(self, rows: np.ndarray, occupations: np.ndarray) -> "StateBatch":
+        """The batch on its ascending ``rows``, whose occupations the caller
+        passes as ``occupations``; the others' weight leaves with no charge."""
+        support = None if self.support is None else self.support.take(rows, axis=1)
+        batch = StateBatch.__new__(StateBatch)
+        batch._set(self.modes, occupations, self._amps.take(rows, axis=1), self.cutoff,
+                   self._ledger, None if support is None or support.all() else support)
+        return batch
+
     @property
     def terms(self) -> dict[tuple[int, ...], np.ndarray]:
         """{occupation tuple: that row's amplitude in every state}; do not mutate.

@@ -325,7 +325,7 @@ def test_herald_distribution_computed_on_first_read(monkeypatch):
     assert res.herald_distribution is dist
     assert len(calls) == 1
     total = math.fsum(w for _, w in dist)
-    assert abs(total + res.leaked_norm - 1.0) <= 1e-12
+    assert abs(total + res.pre_herald_state.leaked_norm - 1.0) <= 1e-12
 
 
 def test_optimizer_propagates_run_errors():

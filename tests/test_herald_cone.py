@@ -234,7 +234,7 @@ def test_ledger_balances_at_the_herald_cutoff(circuit, g1, g2):
         else InputCoefficients(0.6, 0.48, 0.64)
     res = run_circuit(circuit, coeffs, GateParams(g1, g2))
     total = math.fsum(w for _, w in res.herald_distribution)
-    assert abs(total + res.leaked_norm - 1.0) <= 1e-12
+    assert abs(total + res.pre_herald_state.leaked_norm - 1.0) <= 1e-12
 
 
 def test_default_equals_the_explicit_herald_cutoff():

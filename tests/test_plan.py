@@ -53,15 +53,27 @@ def _bits(x):
     return np.asarray(x).dtype, np.asarray(x).tobytes()
 
 
+def _heralded(run):
+    """What a run's herald decides: the target, per state the probability, the
+    fidelity and the conditional state's terms; not a ledger."""
+    _, target, prob, out, fid = run
+    return [_bits(target), _bits(prob), _bits(fid)] + [_bits(out[b])[:6] for b in range(len(out))]
+
+
 def assert_same_run(circuit, coeffs, params, cutoff):
+    """The cone run's heralded fields and everything the full run returns,
+    the pre-herald batch first, equal the reference; returns both runs."""
     want = _outcome(run_batch_reference, circuit, coeffs, params, cutoff)
     got = _outcome(_run_batch, circuit, coeffs, params, cutoff)
+    full = _outcome(_run_batch, circuit, coeffs, params, cutoff, False)
     if isinstance(want, tuple) and isinstance(want[0], type):
-        assert got == want
-        return got
-    assert not (isinstance(got, tuple) and isinstance(got[0], type)), got
-    assert [_bits(x) for x in got] == [_bits(x) for x in want]
-    return got
+        assert got == want and full == want
+        return got, full
+    for run in (got, full):
+        assert not (isinstance(run, tuple) and isinstance(run[0], type)), run
+    assert [_bits(x) for x in full] == [_bits(x) for x in want]
+    assert _heralded(got) == _heralded(want)
+    return got, full
 
 
 _PART = st.one_of(
@@ -121,13 +133,14 @@ def test_a_float_cutoff_never_reuses_an_int_cutoffs_plan():
 
 
 def test_new_pre_herald_rows_are_projected_anew():
-    # at cutoff 16 gamma2 = 0.02 drops the rows past its photons, 0.24 keeps
-    # them: the plan's kept herald rows belong to other occupations and
-    # must be rebuilt, and the runs that follow each must match again
+    # in a full run at cutoff 16 gamma2 = 0.02 drops the rows past its
+    # photons, 0.24 keeps them: the plan's kept herald rows belong to other
+    # occupations and must be rebuilt, and the runs that follow each must
+    # match again (a cone run between them projects its own rows)
     params = [GateParams.teleport(g2) for g2 in (0.02, 0.24, 0.02)]
     occupations = []
     for p in params:
-        psi = assert_same_run(QUTRIT_TELEPORT, COEFFS, [p], 16)[0]
+        psi = assert_same_run(QUTRIT_TELEPORT, COEFFS, [p], 16)[1][0]  # the full run's
         occupations.append(psi.occupations)
     assert len(occupations[0]) < len(occupations[1])
     assert occupations[0] is not occupations[2]  # rows dropped anew on each run
@@ -148,7 +161,7 @@ def test_pre_herald_state_is_built_on_first_read(monkeypatch):
     state = res.pre_herald_state
     assert res.pre_herald_state is state and calls == [0, 0]
     total = math.fsum(w for _, w in res.herald_distribution)
-    assert abs(total + res.leaked_norm - 1.0) <= 1e-12
+    assert abs(total + res.pre_herald_state.leaked_norm - 1.0) <= 1e-12
 
 
 def test_threads_sharing_a_plan_get_their_own_rows():
@@ -157,16 +170,17 @@ def test_threads_sharing_a_plan_get_their_own_rows():
     # changing under the threads; each run must still give its own bits
     coeffs = InputCoefficients(0.6, 0.8)
     couplings = [[GateParams(0.001, 0.001)], [GateParams(0.3, 0.2)]]
-    want = [[_bits(x) for x in run_batch_reference(QUBIT_TELEPORT, coeffs, p, 16)]
-            for p in couplings]
-    assert want[0][0][3] != want[1][0][3]  # the pre-herald row counts differ
+    want = [run_batch_reference(QUBIT_TELEPORT, coeffs, p, 16) for p in couplings]
+    want = [(_heralded(run), _bits(run[0])) for run in want]
+    assert want[0][1][3] != want[1][1][3]  # the pre-herald row counts differ
     wrong = []
 
     def work(offset):
         for i in range(1000):
             k = (i + offset) % 2
-            got = [_bits(x) for x in _run_batch(QUBIT_TELEPORT, coeffs, couplings[k], 16)]
-            if got != want[k]:
+            got = _heralded(_run_batch(QUBIT_TELEPORT, coeffs, couplings[k], 16))
+            full = _bits(_run_batch(QUBIT_TELEPORT, coeffs, couplings[k], 16, False)[0])
+            if (got, full) != want[k]:
                 wrong.append((offset, i))
 
     interval = sys.getswitchinterval()

@@ -449,7 +449,7 @@ def test_herald_weights_and_leak_balance(circuit, cutoff, g2):
     params = GateParams(solve_teleport_constraint(g2), g2)
     res = run_circuit(circuit, coeffs, params, cutoff)
     total = math.fsum(w for _, w in res.herald_distribution)
-    assert abs(total + res.leaked_norm - 1.0) <= 1e-12
+    assert abs(total + res.pre_herald_state.leaked_norm - 1.0) <= 1e-12
 
 
 def test_qubit_teleport_at_cutoff_one():
