@@ -26,19 +26,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
 from .heralding import DetectionPattern, _condition, _herald_columns, _herald_rows, herald_weights
-from .squeezers import (
-    LAYOUT_MEMO,
-    PdcSpec,
-    SqueezerSpec,
-    apply_two_mode_squeezer,
-    _check_pdc_modes,
-    _pdc_pairs,
-)
+from .squeezers import PdcSpec, SqueezerSpec, _check_pdc_modes, _layout, _pdc_pairs, _squeeze
 from .states import (
     EPS_ZERO,
     FockError,
@@ -56,6 +49,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 SWEEP_CHUNK = 32             # grid points per sweep batch; bounds a sweep's memory
+LAYOUT_MEMO = 8              # run plans kept, each with its squeezer layouts
 
 
 @dataclass(frozen=True)
@@ -465,24 +459,11 @@ def _has_integer_point(rows: list, free: list[int]) -> bool:
         fixed = [_fix(r, var, point[-1]) for r in fixed]
     squares = sorted((sum(r[v] ** 2 for v in free) for r in rows), reverse=True)
     reach = len(free) * math.isqrt(math.prod(q for q in squares[: len(free)] if q))
-    return _any_point(rows, free, [(math.ceil(x - reach), math.floor(x + reach)) for x in point])
-
-
-def _any_point(rows: list, free: list[int], box: list[tuple[int, int]]) -> bool:
-    """Whether integer values of the ``free`` variables, each within its
-    ``box`` interval, keep every row >= 0."""
-    if not free:
-        return all(r[0] >= 0 for r in rows)
-    var, rest = free[0], free[1:]
-    bounds = _range(rows, var, rest)
-    if bounds is None:
-        return False
-    lo, hi = box[0]
-    if bounds[0] is not None:
-        lo = max(lo, math.ceil(bounds[0]))
-    if bounds[1] is not None:
-        hi = min(hi, math.floor(bounds[1]))
-    return any(_any_point([_fix(r, var, n) for r in rows], rest, box[1:]) for n in range(lo, hi + 1))
+    box = []  # x - reach <= var <= x + reach as rows >= 0
+    for var, x in zip(free, point):
+        unit = [int(v == var) for v in range(1, len(rows[0]))]
+        box += [[-math.ceil(x - reach), *unit], [math.floor(x + reach), *(-u for u in unit)]]
+    return next(_points(rows + box, free), None) is not None
 
 
 def _project(rows: list, variables: list[int], integral: bool) -> list:
@@ -576,27 +557,33 @@ def _run_batch(
     nonzero = tuple(c != 0 for c in cs)
     # only an int cutoff is memoized: any other raises as the plan is built
     plan = (_plan if isinstance(cutoff, int) else _Plan)(circuit, cutoff, nonzero)
+    # a full run keeps nothing: its arrays are as large as the cutoff allows
+    keep = plan.reuse if cone else lambda name, arrays, build: build()
     psi = StateBatch.of(_basis_state(*plan.inputs, cs), len(params))
-    gammas = [(p.gamma1, p.gamma2) for p in params]
+    if not params:
+        raise FockError("a squeezer needs at least one spec: with none there is no mode pair")
+    couplings = list(zip(*[(p.gamma1, p.gamma2) for p in params]))
     last = len(plan.squeezers) - 1
-    for k, (ma, mb, g) in enumerate(plan.squeezers):
-        psi = apply_two_mode_squeezer(psi, [SqueezerSpec(ma, mb, x[g]) for x in gammas])
+    for k, (ia, ib, g) in enumerate(plan.squeezers):
+        lay = keep(("layout", k), (psi.occupations,),
+                   lambda: _layout(psi.occupations, psi.cutoff, ia, ib))
+        psi = _squeeze(psi, lay, couplings[g])
         if cone and k < last:  # the herald's row match selects the last stage's rows
             psi = plan.select(k, psi)
     signed = [-c if i in circuit.negated else c for i, c in enumerate(cs)]
     target = fix_global_phase(_basis_state(*plan.targets, signed))
 
     idx, counts, keep_idx, kept_modes = plan.herald
-    rows = plan.reuse("herald", (psi.occupations,),
-                      lambda: _herald_rows(psi.occupations, idx, counts, keep_idx))
+    rows = keep("herald", (psi.occupations,),
+                lambda: _herald_rows(psi.occupations, idx, counts, keep_idx))
     outcome = _condition(psi, kept_modes, *rows)
     heralded = outcome.probability > EPS_ZERO
     out_state = fix_global_phase(outcome.conditional_state)
     fid = np.zeros(len(params))
     if heralded.any():
         kept = out_state.take(heralded)
-        rows = plan.reuse("overlap", (kept.occupations, target.occupations),
-                          lambda: _shared_rows(kept, target))
+        rows = keep("overlap", (kept.occupations, target.occupations),
+                    lambda: _shared_rows(kept, target))
         fid[heralded] = _fidelity(kept, target, rows)
     return psi, target, outcome.probability, out_state, fid
 
@@ -645,13 +632,16 @@ def _basis_state(rows: PureState, feeds: list[list[int]], coeffs: Sequence[compl
 class _Plan:
     """What the runs of a circuit at one cutoff and input support share, built
     with a run's checks in its order: input and target as ``_basis_rows``, every
-    squeezer as (mode, mode, coupling index) in the order they apply, over the
-    state's own labels, and the herald as ``heralding._herald_columns``.
+    squeezer as (column, column, coupling index) of the state's modes in the
+    order they apply, and the herald as ``heralding._herald_columns``.
 
     ``cone`` holds, per squeezer, the rows it leaves from which the herald can
     still be reached within the cutoff (read-only, in key order): the rows on
     the integer paths from a nonzero input to the herald, found from the
-    herald polyhedron (``_cone_rows``), never from a squeezer layout."""
+    herald polyhedron (``_cone_rows``), never from a squeezer layout.  A cone
+    run keeps under ``reuse`` what it builds from its rows: each squeezer's
+    layout, where each cone sits in a squeezer's output, and the herald's and
+    the target's rows; so a run at a new coupling builds none of them."""
 
     __slots__ = ("inputs", "squeezers", "targets", "herald", "cone", "_kept")
 
@@ -670,12 +660,12 @@ class _Plan:
             if spec is PdcSpec:
                 pairs = _pdc_pairs(a, b)
                 _check_pdc_modes(pairs, state.modes)
-            for pair in pairs:
-                self.squeezers.append((*(state.modes[state.index_of(m)] for m in pair), g))
+            for ma, mb in pairs:
+                self.squeezers.append((state.index_of(ma), state.index_of(mb), g))
         self.targets = _basis_rows(circuit.out_modes, circuit.targets, nonzero, cutoff)
         pattern = DetectionPattern({m: 1 for m in circuit.detected})
         self.herald = _herald_columns(state.modes, state.cutoff, pattern)
-        pairs = [(state.index_of(a), state.index_of(b)) for a, b, _ in self.squeezers]
+        pairs = [(a, b) for a, b, _ in self.squeezers]
         cone = _cone_rows(state.occupations.tolist(), pairs, self.herald[0], cutoff)
         self.cone = tuple(np.array(sorted(rows), dtype=np.int64).reshape(-1, len(state.modes))
                           for rows in cone)
@@ -693,19 +683,25 @@ class _Plan:
             rows = np.isin(psi.occupations @ strides, self.cone[k] @ strides).nonzero()[0]
             return rows, psi.occupations.take(rows, axis=0)
 
-        return psi._keep_rows(*self.reuse(k, (psi.occupations,), build))
+        return psi._keep_rows(*self.reuse(("cone", k), (psi.occupations,), build))
 
-    def reuse(self, name: str | int, arrays: tuple, build: Callable):
-        """``build()``, kept under ``name`` while ``arrays`` are the very objects it read:
-        read-only and held by the entry, so of the same values.  An entry is one
-        tuple, so a concurrent run never pairs arrays with what others built."""
+    def reuse(self, name: Hashable, arrays: tuple, build: Callable):
+        """``build()``, kept under ``name`` while ``arrays`` equal the arrays it read,
+        which the entry holds read-only.  The very same objects match without
+        reading a value, as every warm run's do; equal copies, which pruning
+        gives a run whose rows it rebuilds (a weak coupling at a large cutoff,
+        a coefficient too small to keep), match after one comparison.  An
+        entry is one tuple, so a concurrent run never pairs arrays with what
+        others built."""
         entry = self._kept.get(name)
-        if entry is None or any(x is not y for x, y in zip(entry[0], arrays)):
+        if entry is None or any(x is not y and not np.array_equal(x, y)
+                                for x, y in zip(entry[0], arrays)):
             entry = self._kept[name] = (arrays, build())
         return entry[1]
 
 
-# the run plans of the last circuits run, each built on its first run
+# the run plans of the last circuits run, each built on its first run; the
+# only memo of a run, so a mixed stream keeps its layouts while its plans fit
 _plan = functools.lru_cache(maxsize=LAYOUT_MEMO, typed=True)(_Plan)
 
 

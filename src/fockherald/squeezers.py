@@ -13,20 +13,16 @@ distinct (n_a, n_b) pair and one block per state, gathered to every input
 term and (term, lowering order), and the outputs that land on the same
 occupation are summed in a fixed order by one ``bincount``.  Everything
 derived from the rows (a ``_Layout`` of index arrays) depends only on the
-occupations, the cutoff and the mode pair.  Pruning masks a batch's
-entries and drops rows only past the largest photon number a state holds
-when that halves the batch (``StateBatch._from_arrays``), so a circuit's
-layers mostly see the same occupations at every coupling, often the very
-same read-only array, and the last ``LAYOUT_MEMO`` layouts are kept and
-found by a key that reads no row when it gets the array it was built from
-(``_Rows``); each call computes only the values.  No per-term Python loop
+occupations, the cutoff and the mode pair, so ``apply_two_mode_squeezer``
+is its checks, ``_layout`` and the values step ``_squeeze``; a caller that
+has checked its modes and couplings and keeps its layouts (the run plan,
+``protocols._Plan``) calls the last two itself.  No per-term Python loop
 runs and no dict is built.  A slow series-exponential oracle is provided
 for cross-validation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,8 +43,6 @@ from .states import (
     _row_sums,
     make_basis_state,
 )
-
-LAYOUT_MEMO = 8  # squeezer layouts kept: the four of a qutrit run, twice over
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,37 +174,13 @@ class _Layout:
             getattr(self, name).setflags(write=False)
 
 
-class _Rows:
-    """The memo key of a read-only occupation matrix, which reads no row on a hit.
-
-    It hashes by shape and equals a key of the same array, or else of an
-    equal one: the same array is found in O(1), an equal copy (a fresh
-    state, a batch whose rows pruning dropped) is compared by value, and
-    matrices of equal bytes but other shapes stay apart.  The rows are a
-    state's occupations, which are read-only, so a kept key cannot change.
-    """
-
-    __slots__ = ("occupations",)
-
-    def __init__(self, occupations: np.ndarray):
-        self.occupations = occupations
-
-    def __hash__(self) -> int:
-        return hash(self.occupations.shape)
-
-    def __eq__(self, other) -> bool:
-        a, b = self.occupations, other.occupations
-        return a is b or np.array_equal(a, b)
-
-
-@functools.lru_cache(maxsize=LAYOUT_MEMO)
-def _layout(rows: _Rows, cutoff: int, ia: int, ib: int) -> _Layout:
-    """The layout of squeezing columns ``ia``, ``ib`` of the occupations ``rows``.
+def _layout(occ: np.ndarray, cutoff: int, ia: int, ib: int) -> _Layout:
+    """The layout of squeezing columns ``ia``, ``ib`` of the occupations ``occ``.
 
     It depends on the occupations, the cutoff and the mode pair only, not
-    on the couplings or the amplitudes, so it is built once per key.
+    on the couplings or the amplitudes, so a caller may keep it for rows
+    it knows to be the same.
     """
-    occ = rows.occupations
     m, n = occ[:, ia], occ[:, ib]
 
     # lowering exp(-s ab): term i at order k = 0..min(m, n).  A term's series
@@ -289,9 +259,13 @@ def apply_two_mode_squeezer(
         raise ModeMismatchError("a batch of squeezers must act on one pair of modes")
     ia = state.index_of(pair_modes[0])
     ib = state.index_of(pair_modes[1])
-    cutoff = state.cutoff
-    lay = _layout(_Rows(state.occupations), cutoff, ia, ib)
-    gammas = [sp.gamma for sp in specs]
+    lay = _layout(state.occupations, state.cutoff, ia, ib)
+    return _squeeze(state, lay, [sp.gamma for sp in specs])
+
+
+def _squeeze(state: StateBatch, lay: _Layout, gammas: Sequence[float]) -> StateBatch:
+    """``apply_two_mode_squeezer`` over the layout ``lay`` of ``state``'s rows,
+    with coupling ``gammas[b]`` on state b; the caller has checked both."""
     s = np.sqrt(gammas)
     # diagonal factor (1-g)^(t/2), tabulated with the same math.exp the
     # term-by-term reference loop calls on the same products
@@ -315,7 +289,7 @@ def apply_two_mode_squeezer(
     deficit = state._norms_sq() - _row_sums(mag2, reach)
     leaked = state._ledger + np.maximum(0.0, deficit)
     return type(state)._from_arrays(
-        state.modes, lay.occupations, out_amp, cutoff, leaked, reach, mag2, lay.photons
+        state.modes, lay.occupations, out_amp, state.cutoff, leaked, reach, mag2, lay.photons
     )
 
 

@@ -4,14 +4,17 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/count_calls.py
 
-Each case runs once to fill the run plan and squeezer layout memos, then
-again under ``sys.setprofile``.  Every call that ``apply_two_mode_squeezer``
-makes into numpy counts once: a numpy function or method implemented in C
+Each case runs once to fill its run plan, which keeps the squeezer layouts,
+then again under ``sys.setprofile``.  A squeezer call is a call of the
+values step ``squeezers._squeeze``, and every call that it makes into numpy
+counts once: a numpy function or method implemented in C
 (a ``c_call`` event) or written in Python (a ``call`` into numpy's
 sources, but not into the ``*_dispatcher`` that numpy's function wrapper
 calls first), but not the calls numpy makes inside it.  Ufunc calls and array
 operators reach no profile event, so they are not counted.  The counts
-depend on the Python and numpy versions, so the script only prints them.
+depend on the Python and numpy versions, so the script only prints them;
+it exits non-zero if a case makes another number of squeezer calls than its
+circuit has squeezers, so a refactor cannot empty it silently.
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
@@ -26,14 +29,15 @@ import numpy as np
 from fockherald import InputCoefficients, run_nls, run_qutrit_teleport, squeezers, sweep
 
 NUMPY_DIR = os.path.dirname(np.__file__)
-SQUEEZER = squeezers.apply_two_mode_squeezer.__code__
+SQUEEZER = squeezers._squeeze.__code__
 
+# each case and the squeezer calls a run of it makes
 CASES = {
-    "nls, cutoff 64": lambda: run_nls(InputCoefficients(0.6, 0.48, 0.64), cutoff=64),
-    "qutrit, gamma2 0.1, cutoff 8":
-        lambda: run_qutrit_teleport(InputCoefficients(0.6, 0.48, 0.64), 0.1, cutoff=8),
-    "qubit sweep, 24 points": lambda: sweep(
-        "teleport-qubit", [0.01 + 0.2 * i / 23 for i in range(24)]),
+    "nls, cutoff 64": (lambda: run_nls(InputCoefficients(0.6, 0.48, 0.64), cutoff=64), 2),
+    "qutrit, gamma2 0.1, cutoff 8": (
+        lambda: run_qutrit_teleport(InputCoefficients(0.6, 0.48, 0.64), 0.1, cutoff=8), 4),
+    "qubit sweep, 24 points": (
+        lambda: sweep("teleport-qubit", [0.01 + 0.2 * i / 23 for i in range(24)]), 2),
 }
 
 
@@ -56,9 +60,9 @@ def count_layers(case) -> list[tuple[str, int]]:
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is SQUEEZER:
-            spec = frame.f_locals["spec"]
-            first = spec if isinstance(spec, squeezers.SqueezerSpec) else spec[0]
-            layers.append([f"{first.mode_a}, {first.mode_b}", 0])
+            # the caller holds the squeezed columns as ``ia`` and ``ib``
+            modes, caller = frame.f_locals["state"].modes, frame.f_back.f_locals
+            layers.append([f"{modes[caller['ia']]}, {modes[caller['ib']]}", 0])
             active.append(frame)
         elif not active:
             return
@@ -83,14 +87,20 @@ def count_layers(case) -> list[tuple[str, int]]:
     return [tuple(layer) for layer in layers]
 
 
-def main() -> None:
+def main() -> int:
     print(f"numpy {np.__version__}, Python {sys.version.split()[0]}")
-    for name, case in CASES.items():
+    wrong = []
+    for name, (case, calls) in CASES.items():
         layers = count_layers(case)
         print(f"{name}: {sum(n for _, n in layers)} numpy calls in {len(layers)} squeezer calls")
         for i, (pair, n) in enumerate(layers, 1):
             print(f"  layer {i} ({pair}): {n}")
+        if len(layers) != calls:
+            wrong.append(f"{name}: {len(layers)} squeezer calls, expected {calls}")
+    for line in wrong:
+        print(line, file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,9 +13,10 @@ their error messages, ``sweep`` grids, ``optimize_teleport_success``, the CLI
 random kernel cases on single states and on batches, among them batches of
 a sweep chunk's size (24 and 32 states at cutoffs 1 and 16, with and without
 a support).  A batch is hashed without the masked rows that no state
-holds (see ``Section.state``).  The ``warm`` section runs kernels and runners right after other runs filled
-the squeezer layout memo, and again after clearing it.  Each section's hash
-is printed too, so a difference can be located.  Cases whose outcome
+holds (see ``Section.state``).  The ``warm`` section runs kernels and
+runners right after other runs filled the run plans, which keep the
+squeezer layouts, and again after clearing them.  Each section's hash is
+printed too, so a difference can be located.  Cases whose outcome
 depends on a non-integer cutoff are hashed apart, on the
 ``non-integer-cutoff`` line, and are not part of ``corpus``.
 
@@ -74,7 +75,7 @@ from fockherald import (
     sweep,
     tensor,
 )
-from fockherald import squeezers
+from fockherald import protocols, squeezers
 from fockherald.cli import main
 
 NAN = math.nan
@@ -365,15 +366,21 @@ def batches(sec: Section, rng, flat) -> None:
 
 
 def warm(sec: Section) -> None:
-    """Runs right after other couplings, cutoffs and inputs filled the squeezer
-    layout memo, and the same runs after it was cleared.
+    """Runs right after other couplings, cutoffs and inputs filled the run
+    plans and the layouts they keep, and the same runs after they were cleared.
 
     Each case first runs its ``fill`` calls unhashed, so a layout kept from
     them that is stale or keyed too coarsely (without the cutoff, the mode
     pair or the row shape) changes what the hashed runs give.  A library
-    without the memo runs the same calls.
+    whose squeezer keeps a layout memo of its own (``squeezers._layout``
+    with ``cache_clear``) has it cleared too.
     """
-    clear = getattr(getattr(squeezers, "_layout", None), "cache_clear", lambda: None)
+    memos = (protocols._plan, getattr(squeezers, "_layout", None))
+
+    def clear():
+        for memo in memos:
+            getattr(memo, "cache_clear", lambda: None)()
+
     pair, trio = (ModeLabel(1), ModeLabel(2)), tuple(ModeLabel(p) for p in range(1, 4))
     # the same six int64 values as rows of two modes and of three
     two = PureState(pair, {(0, 0): 0.6, (0, 1): 0.48, (1, 0): 0.64}, 3)

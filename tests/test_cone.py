@@ -16,10 +16,10 @@ from bruteforce import run_batch_reference
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_herald_cone import FOUR_MODE, ODD_CYCLE
-from test_plan import _heralded
+from test_plan import _heralded, recording
 
 from fockherald import FockError, InputCoefficients, run_qutrit_teleport
-from fockherald import protocols, squeezers
+from fockherald import protocols
 from fockherald.protocols import (
     NLS,
     QUBIT_TELEPORT,
@@ -128,13 +128,7 @@ def test_the_cone_ledger_is_below_the_full_one(cutoff):
 
 def test_the_full_state_is_run_on_first_read_only(monkeypatch):
     calls = []
-    apply = protocols.apply_two_mode_squeezer
-
-    def counting(state, spec):
-        calls.append(len(state.occupations))
-        return apply(state, spec)
-
-    monkeypatch.setattr(protocols, "apply_two_mode_squeezer", counting)
+    recording(monkeypatch, protocols, "_squeeze", calls, lambda psi, *rest: len(psi.occupations))
     res = run_qutrit_teleport(InputCoefficients(0.6, 0.48, 0.64), 0.1, cutoff=8)
     res.to_json()
     assert calls == [3, 3, 3, 3]  # the input, then each stage's cone
@@ -144,19 +138,32 @@ def test_the_full_state_is_run_on_first_read_only(monkeypatch):
     assert calls[4:] == [3, 27, 243, 1278]  # the full run, once
 
 
+def _kept_rows(plan) -> list:
+    """The input rows of every squeezer layout ``plan`` keeps, by squeezer."""
+    entries = [plan._kept.get(("layout", k)) for k in range(len(plan.squeezers))]
+    return [arrays[0] for arrays, _ in filter(None, entries)]
+
+
 def test_a_cold_cone_run_keeps_only_cone_sized_layouts(monkeypatch):
-    squeezers._layout.cache_clear()
     protocols._plan.cache_clear()
-    calls = []
-    layout = squeezers._layout
-
-    def recording(rows, cutoff, ia, ib):
-        calls.append(len(rows.occupations))
-        return layout(rows, cutoff, ia, ib)
-
-    monkeypatch.setattr(squeezers, "_layout", recording)
+    built = []
+    recording(monkeypatch, protocols, "_layout", built, lambda occ, *key: occ)
     run_qutrit_teleport(InputCoefficients(0.6, 0.48, 0.64), 0.1, cutoff=16)
-    # the memo was empty, so it holds only layouts of these calls
-    assert calls == [3, 3, 3, 3]
-    assert 0 < layout.cache_info().currsize <= len(calls)
+    assert [len(occ) for occ in built] == [3, 3, 3, 3]
+    # the plan keeps exactly the layouts of these calls, and nothing else does
+    kept = _kept_rows(_plan(QUTRIT_TELEPORT, 16, (True,) * 3))
+    assert [id(occ) for occ in kept] == [id(occ) for occ in built]
 
+
+def test_a_full_run_keeps_none_of_its_layouts(monkeypatch):
+    res = run_qutrit_teleport(InputCoefficients(0.6, 0.48, 0.64), 0.1, cutoff=8)
+    plan = _plan(QUTRIT_TELEPORT, 8, (True,) * 3)
+    kept = dict(plan._kept)
+    built = []
+    recording(monkeypatch, protocols, "_layout", built, lambda occ, *key: len(occ))
+    res.pre_herald_state
+    assert built == [3, 27, 243, 1278]
+    # the plan holds the cone run's entries only, the very same ones
+    assert [len(occ) for occ in _kept_rows(plan)] == [3, 3, 3, 3]
+    assert plan._kept.keys() == kept.keys()
+    assert all(plan._kept[name] is entry for name, entry in kept.items())

@@ -1,10 +1,11 @@
-"""The squeezer layout memo: layouts that depend on the rows only, and are reused.
+"""Squeezer layouts: what a squeezer derives from the rows only, kept by the run plan.
 
 A batch keeps its rows through pruning (a pruned entry only leaves the
 support) unless dropping the rows past the largest photon number a state
 holds halves it, so the rows after each layer, and with them each layer's
 layout, mostly depend on the input, the cutoff and the mode pair, not on
-the couplings.
+the couplings.  A cone run keeps each squeezer's layout in its run plan
+(``protocols._Plan.reuse``); the public kernels build theirs on every call.
 """
 
 import sys
@@ -12,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 from bruteforce import apply_two_mode_squeezer_scalar
+from test_plan import assert_same_run, recording
 
 from fockherald import (
     InputCoefficients,
@@ -21,10 +23,15 @@ from fockherald import (
     StateBatch,
     apply_two_mode_squeezer,
     apply_type2_pdc,
+    run_nls,
+    run_qubit_teleport,
     run_qutrit_teleport,
+    squeezers,
+    sweep,
 )
-from fockherald.protocols import QUTRIT_TELEPORT, GateParams, _basis_sum, _plan
-from fockherald.squeezers import LAYOUT_MEMO, _layout, _Rows
+from fockherald import protocols
+from fockherald.protocols import NLS, QUTRIT_TELEPORT, GateParams, _basis_sum, _plan, _run_batch
+from fockherald.squeezers import _layout
 
 COEFFS = InputCoefficients(0.6, 0.48, 0.64)
 
@@ -70,55 +77,66 @@ def test_a_weak_coupling_drops_the_rows_past_its_photons():
     assert not weak[-1].support.all()  # rows below 23 photons stay masked
 
 
-def test_a_run_at_a_new_coupling_builds_no_layout():
-    run_qutrit_teleport(COEFFS, 0.05, cutoff=8)
-    before = _layout.cache_info()
-    run_qutrit_teleport(COEFFS, 0.1734, cutoff=8)
-    after = _layout.cache_info()
-    assert after.misses == before.misses
-    assert after.hits == before.hits + 4  # two PDC layers of two squeezers
+# each workload's circuit at a coupling g, and its number of squeezers
+RUNS_AT = {
+    "nls, cutoff 64": (lambda g: run_nls(COEFFS, GateParams(g, g / 2), cutoff=64), 2),
+    "qubit, herald cutoff": (lambda g: run_qubit_teleport(InputCoefficients(0.6, 0.8), g), 2),
+    "qutrit, cutoff 8": (lambda g: run_qutrit_teleport(COEFFS, g, cutoff=8), 4),
+    "qubit sweep, 24 points": (
+        lambda g: sweep("teleport-qubit", [g + 0.1 * i / 23 for i in range(24)]), 2),
+}
 
 
-def test_the_memo_holds_a_qutrit_run_and_is_bounded():
-    assert _layout.cache_info().maxsize == LAYOUT_MEMO >= 4
-    _layout.cache_clear()
-    for gamma2 in (0.03, 0.2):
-        for cutoff in (3, 5, 8):
-            run_qutrit_teleport(COEFFS, gamma2, cutoff=cutoff)
-    assert _layout.cache_info().currsize == LAYOUT_MEMO
+def test_a_run_at_a_new_coupling_builds_no_layout(monkeypatch):
+    # a warm run finds every layout in its run plan: the very objects the
+    # run before used, with no layout and no squeezer spec built.  At gamma1
+    # 0.05 and cutoff 64 NLS drops the rows past its photons, so its first
+    # stage's rows are fresh on every run, and equal
+    built, specs, used = [], [], []
+    recording(monkeypatch, protocols, "_layout", built, lambda *args: len(args[0]))
+    recording(monkeypatch, SqueezerSpec, "__post_init__", specs, lambda spec: spec)
+    recording(monkeypatch, protocols, "_squeeze", used, lambda state, lay, gammas: lay)
+    for name, (run, layers) in RUNS_AT.items():
+        run(0.05)
+        warm = used[:]
+        del built[:], specs[:], used[:]
+        run(0.1734)
+        assert (built, specs) == ([], []), name
+        assert len(used) == layers and [id(x) for x in used] == [id(x) for x in warm[-layers:]]
+        del used[:]
 
 
 def test_cached_layout_arrays_are_read_only():
     psi = PureState((ModeLabel(1), ModeLabel(2)), {(0, 0): 0.6, (2, 1): 0.8}, 4)
-    lay = _layout(_Rows(psi.occupations), 4, 0, 1)
-    assert _layout(_Rows(psi.occupations), 4, 0, 1) is lay
+    lay = _layout(psi.occupations, 4, 0, 1)
     for name in lay.__slots__:
         array = getattr(lay, name)
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
 
 
-def test_a_warm_memo_gives_the_reference_loop():
-    # one layout per (rows, row shape, cutoff, pair): the same rows on another
-    # pair or at another cutoff, other rows of the same count, and the same
-    # int64 values as rows of another width get their own
+def test_every_call_builds_its_layout_and_gives_the_reference_loop(monkeypatch):
+    # the same rows on another pair or at another cutoff, other rows of the
+    # same count, and the same int64 values as rows of another width: each
+    # public call builds its own layout from its own rows
     m = tuple(ModeLabel(p) for p in range(3))
     two = PureState(m[:2], {(0, 0): 0.6, (0, 1): 0.48, (1, 0): 0.64}, 3)
     three = PureState(m, {(0, 0, 0): 0.6, (1, 1, 0): 0.8}, 3)
     assert two.occupations.tobytes() == three.occupations.tobytes()
-    assert _Rows(two.occupations) != _Rows(three.occupations)
     cases = [(two, (m[0], m[1]))]
     for psi in (three, PureState(m, {(0, 0, 0): 0.6, (1, 1, 0): 0.8}, 5),
                 PureState(m, {(0, 1, 0): 0.6, (2, 0, 1): 0.8}, 5)):
         cases += [(psi, pair) for pair in ((m[0], m[1]), (m[1], m[2]), (m[0], m[2]))]
-    _layout.cache_clear()
+    built = []
+    recording(monkeypatch, squeezers, "_layout", built, lambda occ, *key: (occ, *key))
     for psi, pair in cases:
         spec = SqueezerSpec(*pair, 0.3)
         out = apply_two_mode_squeezer(psi, spec)
         loop = apply_two_mode_squeezer_scalar(psi, spec)
         assert np.array_equal(out.occupations, loop.occupations)
         assert out.amplitudes.tobytes() == loop.amplitudes.tobytes()
-    assert _layout.cache_info().misses == len(cases)
+        assert built[-1][0] is psi.occupations
+    assert len(built) == len(cases)
 
 
 def test_a_pure_state_still_drops_pruned_terms():
@@ -140,11 +158,11 @@ def test_the_lowering_series_is_computed_once_per_pair():
     params = GateParams.teleport(0.1)
     psi = StateBatch.of(_basis_sum(QUTRIT_TELEPORT.modes, QUTRIT_TELEPORT.inputs,
                                    (COEFFS.c0, COEFFS.c1, COEFFS.c2), 8))
-    *first, (ma, mb, _) = _plan(QUTRIT_TELEPORT, 8, (True,) * 3).squeezers
+    *first, (ia, ib, _) = _plan(QUTRIT_TELEPORT, 8, (True,) * 3).squeezers
     for a, b, g in first:
-        psi = apply_two_mode_squeezer(psi, [SqueezerSpec(a, b, (params.gamma1, params.gamma2)[g])])
-    ia, ib = psi.index_of(ma), psi.index_of(mb)
-    lay = _layout(_Rows(psi.occupations), 8, ia, ib)
+        spec = SqueezerSpec(psi.modes[a], psi.modes[b], (params.gamma1, params.gamma2)[g])
+        psi = apply_two_mode_squeezer(psi, [spec])
+    lay = _layout(psi.occupations, 8, ia, ib)
     pairs = {(r[ia], r[ib]) for r in psi.occupations.tolist()}
     assert len(psi.occupations) == 1278
     assert len(lay.low_roots) == len(pairs) == 18
@@ -155,9 +173,8 @@ def test_the_lowering_series_is_computed_once_per_pair():
 
 
 def test_a_warm_run_reads_no_row_values():
-    # each layer's input is the very array its layout was keyed on: the run
-    # plan's input rows, then the previous layout's output rows
-    _layout.cache_clear()
+    # each layer's input is the very array its kept layout was built from:
+    # the run plan's input rows, then the cone rows the plan kept
     run_qutrit_teleport(COEFFS, 0.05, cutoff=8)
     seen = []
 
@@ -167,32 +184,28 @@ def test_a_warm_run_reads_no_row_values():
         elif event == "c_call":
             seen.append(arg.__name__)
 
-    before = _layout.cache_info()
     sys.setprofile(watch)
     try:
         run_qutrit_teleport(COEFFS, 0.1734, cutoff=8)
     finally:
         sys.setprofile(None)
-    assert _layout.cache_info().hits == before.hits + 4
+    assert seen.count("_squeeze") == 4 and "_layout" not in seen
     assert "array_equal" not in seen and "tobytes" not in seen
 
 
-def test_an_equal_distinct_array_hits_the_memo():
-    psi = PureState((ModeLabel(1), ModeLabel(2)), {(0, 0): 0.6, (2, 1): 0.8}, 4)
-    spec = SqueezerSpec(ModeLabel(1), ModeLabel(2), 0.3)
-    apply_two_mode_squeezer(psi, spec)
-    copy = PureState((ModeLabel(1), ModeLabel(2)), {(0, 0): 0.6, (2, 1): 0.8}, 4)
-    assert copy.occupations is not psi.occupations
-    before = _layout.cache_info()
-    out = apply_two_mode_squeezer(copy, spec)
-    after = _layout.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert out.amplitudes.tobytes() == apply_two_mode_squeezer(psi, spec).amplitudes.tobytes()
-
-
-def test_clearing_the_memo_makes_the_next_run_cold():
-    run_qutrit_teleport(COEFFS, 0.05, cutoff=8)
-    _layout.cache_clear()
-    assert _layout.cache_info() == (0, 0, LAYOUT_MEMO, 0)
-    run_qutrit_teleport(COEFFS, 0.05, cutoff=8)
-    assert _layout.cache_info()[:2] == (0, 4)
+@pytest.mark.parametrize("circuit, cutoff", [(NLS, None), (NLS, 64), (QUTRIT_TELEPORT, 8)])
+def test_a_pruned_input_gets_fresh_rows_and_the_reference_bits(circuit, cutoff, monkeypatch):
+    # c0 = 1e-9 falls below the pruning threshold, so every run builds its
+    # input rows anew: the plan finds its layouts for them by value
+    coeffs = InputCoefficients(1e-9, 0.6, 0.8)
+    params = [GateParams(0.3, 0.2), GateParams(0.1, 0.05)]
+    inputs, built = [], []
+    recording(monkeypatch, protocols, "_squeeze", inputs, lambda state, *rest: state.occupations)
+    _run_batch(circuit, coeffs, params, cutoff)
+    recording(monkeypatch, protocols, "_layout", built, lambda *args: args)
+    _run_batch(circuit, coeffs, params, cutoff)
+    layers = len(inputs) // 2
+    assert built == [] and len(inputs[0]) < len(circuit.inputs)
+    assert inputs[0] is not inputs[layers] and np.array_equal(inputs[0], inputs[layers])
+    for _ in range(2):
+        assert_same_run(circuit, coeffs, params, cutoff)

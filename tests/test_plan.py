@@ -27,8 +27,15 @@ from fockherald import (
     sweep,
 )
 from fockherald import protocols
-from fockherald.protocols import NLS, QUBIT_TELEPORT, QUTRIT_TELEPORT, GateParams, _plan, _run_batch
-from fockherald.squeezers import LAYOUT_MEMO, _layout
+from fockherald.protocols import (
+    LAYOUT_MEMO,
+    NLS,
+    QUBIT_TELEPORT,
+    QUTRIT_TELEPORT,
+    GateParams,
+    _plan,
+    _run_batch,
+)
 
 M1, M2, M3 = (ModeLabel(p) for p in (1, 2, 3))
 # NLS with its modes listed out of canonical order: c_i enters as i photons on M1
@@ -58,6 +65,17 @@ def _heralded(run):
     fidelity and the conditional state's terms; not a ledger."""
     _, target, prob, out, fid = run
     return [_bits(target), _bits(prob), _bits(fid)] + [_bits(out[b])[:6] for b in range(len(out))]
+
+
+def recording(monkeypatch, owner, name, log, entry):
+    """Patch ``owner.name`` to append ``entry(*args)`` to ``log``, then run it."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args):
+        log.append(entry(*args))
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 def assert_same_run(circuit, coeffs, params, cutoff):
@@ -106,13 +124,15 @@ def test_a_reordered_circuit_runs_as_the_canonical_one():
         assert a.to_json() == b.to_json()
 
 
-def test_a_run_at_a_new_coupling_builds_no_plan_and_no_layout():
+def test_a_run_at_a_new_coupling_builds_no_plan_and_no_layout(monkeypatch):
     run_qutrit_teleport(COEFFS, 0.05, cutoff=8)
-    plans, layouts = _plan.cache_info(), _layout.cache_info()
+    layouts = []
+    recording(monkeypatch, protocols, "_layout", layouts, lambda *args: args)
+    plans = _plan.cache_info()
     run_qutrit_teleport(COEFFS, 0.1734, cutoff=8)
     assert _plan.cache_info().misses == plans.misses
     assert _plan.cache_info().hits == plans.hits + 1
-    assert _layout.cache_info().misses == layouts.misses
+    assert layouts == []
 
 
 def test_the_plan_memo_is_bounded():

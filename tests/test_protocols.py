@@ -588,6 +588,6 @@ def test_inconsistent_circuit_rejected_before_any_layer(circuit, message, monkey
     def no_layer(*args):
         raise AssertionError("a layer ran")
 
-    monkeypatch.setattr(protocols, "apply_two_mode_squeezer", no_layer)
+    monkeypatch.setattr(protocols, "_squeeze", no_layer)
     with pytest.raises(ModeMismatchError, match=message):
         run_circuit(circuit, InputCoefficients(0.6, 0.8), GateParams(0.3, 0.2), 4)
