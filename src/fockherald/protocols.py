@@ -574,7 +574,9 @@ def _run_batch(
     target = fix_global_phase(_basis_state(*plan.targets, signed))
 
     idx, counts, keep_idx, kept_modes = plan.herald
-    rows = keep("herald", (psi.occupations,),
+    # the last stage's rows are its layout's, or those up to the largest photon
+    # number a state holds (``StateBatch._prune``): one row set per row count
+    rows = keep(("herald", len(psi.occupations)), (psi.occupations,),
                 lambda: _herald_rows(psi.occupations, idx, counts, keep_idx))
     outcome = _condition(psi, kept_modes, *rows)
     heralded = outcome.probability > EPS_ZERO
@@ -586,19 +588,6 @@ def _run_batch(
                     lambda: _shared_rows(kept, target))
         fid[heralded] = _fidelity(kept, target, rows)
     return psi, target, outcome.probability, out_state, fid
-
-
-def _basis_sum(modes: tuple[ModeLabel, ...], occs: Sequence[tuple[int, ...]],
-               coeffs: Sequence[complex], cutoff: int) -> PureState:
-    """sum_i coeffs[i] |occs[i]>, as a run builds its input and target.
-
-    Bit for bit what ``superpose`` gives over ``make_basis_state`` terms, and
-    the same errors: zero coefficients add no term, each amplitude is the
-    product ``complex(c) * (1 + 0j)``, and terms merge from 0 in input order
-    as ``superpose``'s ``bincount`` adds them, which also turns a -0.0 part
-    into +0.0.
-    """
-    return _basis_state(*_basis_rows(modes, occs, [c != 0 for c in coeffs], cutoff), coeffs)
 
 
 def _basis_rows(modes: tuple[ModeLabel, ...], occs: Sequence[tuple[int, ...]],

@@ -8,7 +8,7 @@ leaked-norm ledger.
 
 The kernel works on a batch of states over one occupation matrix (see
 ``states``): the lowering and raising series coefficients are running
-products (``np.cumprod``) over per-step factor matrices, one row per
+products (``np.cumprod``) over one table of per-step factors, one row per
 distinct (n_a, n_b) pair and one block per state, gathered to every input
 term and (term, lowering order), and the outputs that land on the same
 occupation are summed in a fixed order by one ``bincount``.  Everything
@@ -80,27 +80,15 @@ class PdcSpec:
 
 
 def _roots(a: np.ndarray, b: np.ndarray, sign: int, length: int) -> np.ndarray:
-    """sqrt(a + sign*t) * sqrt(b + sign*t) for t = 1..length - 1, one row per entry of a, b."""
+    """1, then sign * sqrt(a + sign*t) * sqrt(b + sign*t) for t = 1..length - 1, a row per a, b.
+
+    Step t of a series multiplies by s / t times the root, and (s / t) * -r
+    is exactly -s / t * r, so sign -1 gives the lowering series' factors.
+    """
     steps = sign * np.arange(1, length)
     with np.errstate(invalid="ignore"):  # negative roots only past a row's last step
-        roots = np.sqrt(a[:, None] + steps)
-        roots *= np.sqrt(b[:, None] + steps)
-    return roots
-
-
-def _series(scale: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Running products of scale/t * roots[i, t - 1], flattened per scale.
-
-    Entry [r, i * length + t] holds the product over steps 1..t for
-    scale[r] and row i of ``roots`` (``_roots``; step 0 is 1), computed as
-    ``np.cumprod`` over the step factors in the order the term-by-term loop
-    multiplies them.
-    """
-    length = roots.shape[1] + 1
-    out = np.empty((len(scale), len(roots), length))
-    out[:, :, 0] = 1.0
-    np.multiply(roots, (scale[:, None] / np.arange(1, length))[:, None, :], out=out[:, :, 1:])
-    return out.cumprod(axis=2, out=out).reshape(len(scale), -1)
+        roots = np.sqrt(a[:, None] + steps) * np.sqrt(b[:, None] + steps)
+    return np.concatenate((np.ones((len(a), 1)), sign * roots), axis=1)
 
 
 def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,13 +128,16 @@ class _Layout:
 
     Lowering row r is (input term ``term[r]``, order k) and raising
     contribution c is (lowering row ``row[c]``, order j).  Both series are
-    computed once per distinct pair of their row: ``low_roots`` per input
-    (n_a, n_b), ``raise_roots`` per lowered (n_a - k, n_b - k).  ``low_at``,
-    ``decay_at`` and ``raise_at`` locate each row's and contribution's
-    factors in the flattened lowering series, the decay table and the
-    flattened raising series, and ``half_steps`` holds t / 2 for every decay
-    step t a row reads.  ``group`` numbers each contribution's output column
-    in the float view of the complex sums (2g and 2g + 1, see
+    computed once per distinct pair of their row, as the rows of one table
+    (``_roots``): one per input (n_a, n_b), then one per lowered
+    (n_a - k, n_b - k), with ``steps`` the divisors of its columns.  Where
+    no term lowers (min(n_a, n_b) = 0 on every row) every lowering factor
+    is 1, the table has no lowering rows and ``low_at`` is None.
+    ``low_at``, ``decay_at`` and ``raise_at`` locate each row's and
+    contribution's factors in the flattened table and the decay table, and
+    ``half_steps`` holds t / 2 for each distinct decay step t the rows
+    read.  ``group`` numbers each contribution's output column in the float
+    view of the complex sums (2g and 2g + 1, see
     ``states._group_sums``), ``occupations`` are the output rows and
     ``photons`` their total photon numbers.  ``by_line`` lists the input
     rows line by line (fixed spectators and n_a - n_b), each line starting
@@ -155,12 +146,12 @@ class _Layout:
     """
 
     term: np.ndarray
-    low_roots: np.ndarray
-    low_at: np.ndarray
+    low_at: np.ndarray | None
     decay_at: np.ndarray
     half_steps: np.ndarray
     row: np.ndarray
-    raise_roots: np.ndarray
+    roots: np.ndarray
+    steps: np.ndarray
     raise_at: np.ndarray
     group: np.ndarray
     occupations: np.ndarray
@@ -171,7 +162,8 @@ class _Layout:
 
     def __post_init__(self):
         for name in self.__slots__:
-            getattr(self, name).setflags(write=False)
+            if getattr(self, name) is not None:
+                getattr(self, name).setflags(write=False)
 
 
 def _layout(occ: np.ndarray, cutoff: int, ia: int, ib: int) -> _Layout:
@@ -183,26 +175,32 @@ def _layout(occ: np.ndarray, cutoff: int, ia: int, ib: int) -> _Layout:
     """
     m, n = occ[:, ia], occ[:, ib]
 
-    # lowering exp(-s ab): term i at order k = 0..min(m, n).  A term's series
-    # depends only on its (m, n), so it is computed once per distinct pair.
+    # lowering exp(-s ab): term i at order k = 0..min(m, n), then the
+    # diagonal factor, tabulated once per distinct step
     min_mn = np.minimum(m, n)
     term, k = _ragged(min_mn + 1)
-    width = int(min_mn.max(initial=0)) + 1
-    first, pair_of = _group_by_key(m * (cutoff + 1) + n)
-    low_roots = _roots(m.take(first) + 1, n.take(first) + 1, -1, width)
-    low_at = pair_of.take(term) * width + k
     mp, np_ = m.take(term) - k, n.take(term) - k
-    decay_at = mp + np_ + 1
-    half_steps = 0.5 * np.arange(int(decay_at.max(initial=0)) + 1)
+    decay_step = mp + np_ + 1
+    first, decay_at = _group_by_key(decay_step)
+    half_steps = 0.5 * decay_step.take(first)
 
-    # raising exp(s a†b†): row r = (term, k) feeds j = 0..cutoff - max(mp, np_),
-    # its series computed once per distinct (mp, np_) as well
+    # raising exp(s a†b†): row r = (term, k) feeds j = 0..cutoff - max(mp, np_)
     cap = cutoff - np.maximum(mp, np_)
     row, j = _ragged(cap + 1)
-    width = int(cap.max(initial=0)) + 1
+
+    # one series table, one row per distinct pair: the raising (mp, np_),
+    # after the lowering (m, n) if any term lowers at all
+    width = max(int(min_mn.max(initial=0)), int(cap.max(initial=0))) + 1
     first, pair_of = _group_by_key(mp * (cutoff + 1) + np_)
-    raise_roots = _roots(mp.take(first), np_.take(first), 1, width)
+    roots = _roots(mp.take(first), np_.take(first), 1, width)
     raise_at = pair_of.take(row) * width + j
+    low_at = None
+    if min_mn.any():
+        first, pair_of = _group_by_key(m * (cutoff + 1) + n)
+        low_at = pair_of.take(term) * width + k
+        raise_at += len(first) * width
+        roots = np.concatenate((_roots(m.take(first) + 1, n.take(first) + 1, -1, width), roots))
+    steps = np.maximum(np.arange(width), 1.0)  # column 0 is the unit step
 
     # output (mp + j, np_ + j) lies on its input term's line (fixed
     # spectators and n_a - n_b) at distance min(mp, np_) + j from the line's
@@ -233,7 +231,7 @@ def _layout(occ: np.ndarray, cutoff: int, ia: int, ib: int) -> _Layout:
     by_line = line_of.argsort(kind="stable")
     per_line = np.bincount(line_of, minlength=len(rep))
     line_starts = per_line.cumsum() - per_line
-    return _Layout(term, low_roots, low_at, decay_at, half_steps, row, raise_roots, raise_at,
+    return _Layout(term, low_at, decay_at, half_steps, row, roots, steps, raise_at,
                    _interleave(group), out_occ, photons, by_line, line_starts,
                    out_line.take(order))
 
@@ -266,17 +264,29 @@ def apply_two_mode_squeezer(
 def _squeeze(state: StateBatch, lay: _Layout, gammas: Sequence[float]) -> StateBatch:
     """``apply_two_mode_squeezer`` over the layout ``lay`` of ``state``'s rows,
     with coupling ``gammas[b]`` on state b; the caller has checked both."""
-    s = np.sqrt(gammas)
+    # both series: running products (``cumprod``) of the step factors
+    # s / t * root, one block per state, in the order the term-by-term loop
+    # multiplies them; column 0 of every row is step 0, a factor 1
+    scale = np.sqrt(gammas).reshape(-1, 1, 1) / lay.steps
+    scale[..., 0] = 1.0
+    series = (lay.roots * scale).cumprod(axis=2).reshape(len(gammas), -1)
     # diagonal factor (1-g)^(t/2), tabulated with the same math.exp the
     # term-by-term reference loop calls on the same products
-    logs = np.array([math.log1p(-g) if g > 0.0 else 0.0 for g in gammas])
-    decay = np.fromiter(map(math.exp, (logs[:, None] * lay.half_steps).ravel().tolist()), float)
-    decay = decay.reshape(len(gammas), -1)
+    logs = [math.log1p(-g) if g > 0.0 else 0.0 for g in gammas]
+    half = lay.half_steps.tolist()
+    decay = np.fromiter(map(math.exp, [log * h for log in logs for h in half]), float,
+                        len(logs) * len(half)).reshape(len(logs), -1).take(lay.decay_at, axis=1)
 
-    low = _series(-s, lay.low_roots).take(lay.low_at, axis=1)
-    base = state._amps.take(lay.term, axis=1) * low * decay.take(lay.decay_at, axis=1)
+    if lay.low_at is None:
+        # no term lowers, and the loop's lowering factor 1.0 is left out: a
+        # finite complex times 1 + 0j differs from it at most in the sign of
+        # a zero part, the real factors that follow (each multiplied as
+        # x + 0j) keep zero parts zero, and the ``bincount`` sums start from +0.0
+        base = state._amps * decay
+    else:
+        base = state._amps.take(lay.term, axis=1) * series.take(lay.low_at, axis=1) * decay
     values = base.take(lay.row, axis=1)
-    values *= _series(s, lay.raise_roots).take(lay.raise_at, axis=1)
+    values *= series.take(lay.raise_at, axis=1)
     out_amp = _group_sums(lay.group, values, len(lay.occupations))
 
     # a state's outputs are the lines its own terms lie on

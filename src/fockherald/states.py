@@ -195,7 +195,7 @@ def _row_sums(values: np.ndarray, support: np.ndarray | None) -> np.ndarray:
     1-d ``sum`` does; on F order numpy adds column by column instead.
     """
     if support is None:
-        return np.ascontiguousarray(values).sum(axis=1)
+        return np.add.reduce(np.ascontiguousarray(values), axis=1)  # ``sum`` without its wrapper
     return np.array([row[on].sum() for row, on in zip(values, support)], values.dtype)
 
 
@@ -245,14 +245,16 @@ class StateBatch:
     threads.
     """
 
-    __slots__ = ("modes", "occupations", "cutoff", "support", "_amps", "_ledger", "_terms")
+    __slots__ = ("modes", "occupations", "cutoff", "support", "_amps", "_ledger", "_terms",
+                 "_abs2")
 
     @staticmethod
     def of(state: "PureState", size: int = 1) -> "StateBatch":
         """``size`` copies of ``state``."""
         batch = StateBatch.__new__(StateBatch)
         batch._set(state.modes, state.occupations, state._amps.repeat(size, axis=0),
-                   state.cutoff, state._ledger.repeat(size), None)
+                   state.cutoff, state._ledger.repeat(size), None,
+                   None if state._abs2 is None else state._abs2.repeat(size, axis=0))
         return batch
 
     @classmethod
@@ -299,28 +301,29 @@ class StateBatch:
         if mag2 is None:
             mag2 = _mag2(amplitudes)
         leaked = np.asarray(leaked_norm, dtype=float)
-        if not mag2.size or _kept(mag2.min()):  # one reduction: a NaN makes it false
-            support = None
+        if not mag2.size or _kept(np.minimum.reduce(mag2, axis=None)):  # a NaN makes it false
+            self._set(tuple(modes), occupations, amplitudes, cutoff, leaked, None, mag2)
+            return
+        keep = _kept(mag2)
+        leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
+        if type(self) is StateBatch:
+            if photons is None:
+                photons = occupations.sum(axis=1)
+            rows = photons <= photons.compress(keep.any(axis=0)).max(initial=-1)
+            if 2 * np.count_nonzero(rows) <= len(rows):
+                occupations = occupations.compress(rows, axis=0)
+                amplitudes, keep = amplitudes.compress(rows, axis=1), keep.compress(rows, axis=1)
+            support = None if keep.all() else keep
+            if support is not None:
+                amplitudes = np.where(keep, amplitudes, 0)
         else:
-            keep = _kept(mag2)
-            leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
-            if type(self) is StateBatch:
-                if photons is None:
-                    photons = occupations.sum(axis=1)
-                rows = photons <= photons.compress(keep.any(axis=0)).max(initial=-1)
-                if 2 * np.count_nonzero(rows) <= len(rows):
-                    occupations = occupations.compress(rows, axis=0)
-                    amplitudes, keep = amplitudes.compress(rows, axis=1), keep.compress(rows, axis=1)
-                support = None if keep.all() else keep
-                if support is not None:
-                    amplitudes = np.where(keep, amplitudes, 0)
-            else:
-                support = None
-                occupations = occupations.compress(keep[0], axis=0)
-                amplitudes = amplitudes.compress(keep[0], axis=1)
+            support = None
+            occupations = occupations.compress(keep[0], axis=0)
+            amplitudes = amplitudes.compress(keep[0], axis=1)
         self._set(tuple(modes), occupations, amplitudes, cutoff, leaked, support)
 
-    def _set(self, modes, occupations, amplitudes, cutoff, leaked, support) -> None:
+    def _set(self, modes, occupations, amplitudes, cutoff, leaked, support, mag2=None) -> None:
+        """Store the arrays; ``mag2``, if given, is ``_mag2(amplitudes)``, kept for ``_norms_sq``."""
         occupations.setflags(write=False)
         amplitudes.setflags(write=False)
         leaked.setflags(write=False)
@@ -331,6 +334,7 @@ class StateBatch:
         self._ledger = leaked
         self.support = support
         self._terms = None
+        self._abs2 = mag2
 
     amplitudes = property(operator.attrgetter("_amps"), doc="One amplitude row per state.")
     leaked_norm = property(operator.attrgetter("_ledger"), doc="Every state's ledger.")
@@ -340,7 +344,7 @@ class StateBatch:
         return np.array(values)
 
     def _norms_sq(self) -> np.ndarray:
-        return _row_sums(_mag2(self._amps), self.support)
+        return _row_sums(_mag2(self._amps) if self._abs2 is None else self._abs2, self.support)
 
     def __len__(self) -> int:
         return len(self._amps)
@@ -370,7 +374,8 @@ class StateBatch:
         support = None if self.support is None else self.support.take(rows, axis=1)
         batch = StateBatch.__new__(StateBatch)
         batch._set(self.modes, occupations, self._amps.take(rows, axis=1), self.cutoff,
-                   self._ledger, None if support is None or support.all() else support)
+                   self._ledger, None if support is None or support.all() else support,
+                   None if self._abs2 is None else self._abs2.take(rows, axis=1))
         return batch
 
     @property

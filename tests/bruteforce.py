@@ -8,6 +8,8 @@ factored production path.
 ``transfer`` gives the signed heralded amplitudes of the paper's circuits
 in closed form.
 
+``basis_sum`` is a run's input or target built alone.
+
 ``run_batch_reference`` is a circuit run as the library ran it before its
 run plans: the input and the target built by the mapping constructor, every
 layer through the public ``apply_type2_pdc`` or ``apply_two_mode_squeezer``,
@@ -43,7 +45,7 @@ from fockherald import (
     fix_global_phase,
     project,
 )
-from fockherald.protocols import _herald_cutoff
+from fockherald.protocols import _basis_rows, _basis_state, _herald_cutoff
 from fockherald.states import EPS_ZERO, FockError, ModeMismatchError
 
 
@@ -110,6 +112,18 @@ def run_batch_reference(circuit, coeffs, params, cutoff):
     if heralded.any():
         fid[heralded] = fidelity(out_state.take(heralded), target)
     return psi, target, outcome.probability, out_state, fid
+
+
+def basis_sum(modes, occs, coeffs, cutoff):
+    """sum_i coeffs[i] |occs[i]>, as a run builds its input and target.
+
+    Bit for bit what ``superpose`` gives over ``make_basis_state`` terms, and
+    the same errors: zero coefficients add no term, each amplitude is the
+    product ``complex(c) * (1 + 0j)``, and terms merge from 0 in input order
+    as ``superpose``'s ``bincount`` adds them, which also turns a -0.0 part
+    into +0.0.
+    """
+    return _basis_state(*_basis_rows(modes, occs, [c != 0 for c in coeffs], cutoff), coeffs)
 
 
 def _mapped_sum(modes, occs, coeffs, cutoff):

@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from bruteforce import apply_two_mode_squeezer_scalar
+from bruteforce import apply_two_mode_squeezer_scalar, basis_sum
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +42,7 @@ from fockherald import (
 )
 from fockherald import protocols
 from fockherald.cli import main
-from fockherald.protocols import NLS, QUBIT_TELEPORT, QUTRIT_TELEPORT, SWEEP_CHUNK, _basis_sum
+from fockherald.protocols import NLS, QUBIT_TELEPORT, QUTRIT_TELEPORT, SWEEP_CHUNK
 from fockherald.states import canonical_modes
 
 M = tuple(ModeLabel(p) for p in range(3))
@@ -228,6 +228,38 @@ def test_batch_rows_match_scalar_reference(cutoff, gammas, amps):
             assert same_state(normed[b], ref_state)
 
 
+_SIGNED_PART = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
+
+
+@given(
+    cutoff=st.integers(min_value=1, max_value=10),
+    size=st.sampled_from([1, 24]),
+    rows=st.lists(st.tuples(st.integers(0, 10), st.booleans(), st.integers(0, 10)),
+                  min_size=1, max_size=6),
+    parts=st.lists(st.tuples(_SIGNED_PART, _SIGNED_PART), min_size=6 * 24, max_size=6 * 24),
+    gammas=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=0.95)),
+                    min_size=24, max_size=24),
+)
+@settings(max_examples=80, deadline=None)
+def test_rows_that_do_not_lower_give_the_reference_loop(cutoff, size, rows, parts, gammas):
+    # min(n_a, n_b) = 0 on every row: the loop multiplies each term by a
+    # lowering factor 1.0 and the kernel by none, which must not show in any
+    # bit, with signed zero parts and masked entries among the amplitudes
+    occ = sorted({(n % (cutoff + 1), 0, x % (cutoff + 1)) if on_a
+                  else (0, n % (cutoff + 1), x % (cutoff + 1)) for n, on_a, x in rows})
+    amps = np.array([[complex(*parts[b * len(occ) + i]) for i in range(len(occ))]
+                     for b in range(size)])
+    batch = StateBatch._from_arrays(M, np.array(occ, dtype=np.int64), amps, cutoff, np.zeros(size))
+    specs = [SqueezerSpec(M[0], M[1], g) for g in gammas[:size]]
+    out = apply_two_mode_squeezer(batch, specs)
+    for b, spec in enumerate(specs):
+        loop = apply_two_mode_squeezer_scalar(batch[b], spec)
+        assert same_state(out[b], loop)
+        if size == 1:
+            assert same_state(apply_two_mode_squeezer(batch[b], spec), loop)
+
+
 def assert_well_formed(state):
     """What ``StateBatch._from_arrays`` takes on trust: every state a kernel builds has it.
 
@@ -258,7 +290,7 @@ COUPLING = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.9))
 def test_every_kernel_output_meets_the_array_contract(circuit, cutoff, params, cs):
     cs = [c if max(occ) <= cutoff else 0.0 for c, occ in zip(cs, circuit.inputs)]
     assume(any(cs))
-    psi = StateBatch.of(_basis_sum(circuit.modes, circuit.inputs, cs, cutoff), len(params))
+    psi = StateBatch.of(basis_sum(circuit.modes, circuit.inputs, cs, cutoff), len(params))
     assert_well_formed(psi)
     for spec, a, b, g in circuit.layers:
         apply = apply_type2_pdc if spec is PdcSpec else apply_two_mode_squeezer

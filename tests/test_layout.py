@@ -8,12 +8,14 @@ the couplings.  A cone run keeps each squeezer's layout in its run plan
 (``protocols._Plan.reuse``); the public kernels build theirs on every call.
 """
 
+import math
+import random
 import sys
 
 import numpy as np
 import pytest
-from bruteforce import apply_two_mode_squeezer_scalar
-from test_plan import assert_same_run, recording
+from bruteforce import apply_two_mode_squeezer_scalar, basis_sum, run_batch_reference
+from test_plan import _heralded, assert_same_run, recording
 
 from fockherald import (
     InputCoefficients,
@@ -30,7 +32,14 @@ from fockherald import (
     sweep,
 )
 from fockherald import protocols
-from fockherald.protocols import NLS, QUTRIT_TELEPORT, GateParams, _basis_sum, _plan, _run_batch
+from fockherald.protocols import (
+    NLS,
+    QUTRIT_TELEPORT,
+    GateParams,
+    _plan,
+    _run_batch,
+    solve_nls_params,
+)
 from fockherald.squeezers import _layout
 
 COEFFS = InputCoefficients(0.6, 0.48, 0.64)
@@ -40,7 +49,7 @@ def qutrit_layers(gamma2, cutoff=8):
     """The batch of one after each qutrit layer, as ``_run_batch`` runs them."""
     params = GateParams.teleport(gamma2)
     cs = (COEFFS.c0, COEFFS.c1, COEFFS.c2)
-    psi = StateBatch.of(_basis_sum(QUTRIT_TELEPORT.modes, QUTRIT_TELEPORT.inputs, cs, cutoff))
+    psi = StateBatch.of(basis_sum(QUTRIT_TELEPORT.modes, QUTRIT_TELEPORT.inputs, cs, cutoff))
     out = []
     for spec, a, b, g in QUTRIT_TELEPORT.layers:
         psi = apply_type2_pdc(psi, [spec(a, b, (params.gamma1, params.gamma2)[g])])
@@ -106,6 +115,61 @@ def test_a_run_at_a_new_coupling_builds_no_layout(monkeypatch):
         del used[:]
 
 
+# per run of ``RUNS_AT``, whether each squeezer's input rows all have
+# min(n_a, n_b) = 0, so that it has no lowering series to compute
+DOES_NOT_LOWER = {
+    "nls, cutoff 64": [True, False],
+    "qubit, herald cutoff": [True, False],
+    "qutrit, cutoff 8": [True, True, False, False],
+    "qubit sweep, 24 points": [True, False],
+}
+
+
+def test_a_layer_that_does_not_lower_computes_no_lowering_series(monkeypatch):
+    # the series table of a warm run's layout holds one row per lowering pair
+    # and one per raising pair: none of the first kind where no term lowers
+    used = []
+    recording(monkeypatch, protocols, "_squeeze", used, lambda state, lay, gammas: lay)
+    for name, (run, layers) in RUNS_AT.items():
+        run(0.05)
+        del used[:]
+        run(0.1734)
+        assert len(used) == layers
+        for lay, plain in zip(used, DOES_NOT_LOWER[name]):
+            width = lay.roots.shape[1]
+            lowering = 0 if lay.low_at is None else len(np.unique(lay.low_at // width))
+            raising = len(np.unique(lay.raise_at // width))
+            assert (lay.low_at is None) == plain, name
+            assert len(lay.roots) == lowering + raising
+            assert (lowering == 0) == plain, name
+
+
+def test_a_warm_nls_stream_builds_no_herald_rows(monkeypatch):
+    # the last squeezer's rows are its layout's, or those up to the largest
+    # photon number a state holds, as the coefficients decide: the stream
+    # builds the herald rows of each row set once, and then none
+    rng = random.Random(19)
+    stream = []
+    for _ in range(200):
+        xs = [rng.gauss(0.0, 1.0) for _ in range(6)]
+        inv = 1.0 / math.sqrt(sum(x * x for x in xs))
+        stream.append(InputCoefficients(*(complex(xs[i] * inv, xs[i + 1] * inv)
+                                          for i in (0, 2, 4))))
+    params = solve_nls_params()
+    _plan.cache_clear()
+    built, rows = [], []
+    recording(monkeypatch, protocols, "_herald_rows", built, lambda occ, *rest: len(occ))
+    recording(monkeypatch, protocols, "_condition", rows, lambda psi, *rest: len(psi.occupations))
+    for coeffs in stream:
+        run_nls(coeffs, params, 64)
+    assert len(set(rows)) > 2 and sorted(built) == sorted(set(rows))
+    del built[:]
+    for coeffs in stream:
+        assert _heralded(_run_batch(NLS, coeffs, [params], 64)) == _heralded(
+            run_batch_reference(NLS, coeffs, [params], 64))
+    assert built == []
+
+
 def test_cached_layout_arrays_are_read_only():
     psi = PureState((ModeLabel(1), ModeLabel(2)), {(0, 0): 0.6, (2, 1): 0.8}, 4)
     lay = _layout(psi.occupations, 4, 0, 1)
@@ -156,7 +220,7 @@ def test_a_pure_state_still_drops_pruned_terms():
 def test_the_lowering_series_is_computed_once_per_pair():
     # the qutrit's last squeezer at cutoff 8: its input rows and its layout
     params = GateParams.teleport(0.1)
-    psi = StateBatch.of(_basis_sum(QUTRIT_TELEPORT.modes, QUTRIT_TELEPORT.inputs,
+    psi = StateBatch.of(basis_sum(QUTRIT_TELEPORT.modes, QUTRIT_TELEPORT.inputs,
                                    (COEFFS.c0, COEFFS.c1, COEFFS.c2), 8))
     *first, (ia, ib, _) = _plan(QUTRIT_TELEPORT, 8, (True,) * 3).squeezers
     for a, b, g in first:
@@ -164,8 +228,11 @@ def test_the_lowering_series_is_computed_once_per_pair():
         psi = apply_two_mode_squeezer(psi, [spec])
     lay = _layout(psi.occupations, 8, ia, ib)
     pairs = {(r[ia], r[ib]) for r in psi.occupations.tolist()}
+    lowered = {(m - k, n - k) for m, n in pairs for k in range(min(m, n) + 1)}
     assert len(psi.occupations) == 1278
-    assert len(lay.low_roots) == len(pairs) == 18
+    # one row of the series table per input pair, then one per lowered pair
+    assert np.array_equal(np.unique(lay.low_at // lay.roots.shape[1]), np.arange(len(pairs)))
+    assert len(pairs) == 18 and len(lay.roots) == len(pairs) + len(lowered)
     assert len(lay.term) == len(lay.low_at) == len(lay.decay_at)
     # the decay table covers the steps a row reads, not all 2 * cutoff + 2
     assert len(lay.half_steps) == lay.decay_at.max() + 1 < 2 * 8 + 2

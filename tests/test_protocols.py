@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from bruteforce import basis_sum
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,6 @@ from fockherald.protocols import (
     QUBIT_TELEPORT,
     QUTRIT_TELEPORT,
     TELEPORTS,
-    _basis_sum,
     fix_global_phase,
     run_circuit,
     run_teleport,
@@ -547,9 +547,9 @@ def test_circuit_input_and_target_built_in_one_step(circuit, cs, cutoff):
     signed = [-c if i in circuit.negated else c for i, c in enumerate(cs)]
     want_in = _outcome(_superposed, circuit.modes, circuit.inputs, cs, cutoff)
     want_target = _outcome(_superposed, circuit.out_modes, circuit.targets, signed, cutoff)
-    _assert_same_bits(_outcome(_basis_sum, circuit.modes, circuit.inputs, cs, cutoff), want_in)
+    _assert_same_bits(_outcome(basis_sum, circuit.modes, circuit.inputs, cs, cutoff), want_in)
     _assert_same_bits(
-        _outcome(_basis_sum, circuit.out_modes, circuit.targets, signed, cutoff), want_target
+        _outcome(basis_sum, circuit.out_modes, circuit.targets, signed, cutoff), want_target
     )
     # and the run starts from them: it fails as the input does, or ends on
     # that target with its phase fixed
