@@ -26,7 +26,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -114,9 +114,10 @@ class ProtocolResult:
     weight rather than a bound on it.
 
     ``pre_herald_state``, the state the herald acts on with every row below
-    the cutoff, is computed on first read by the run's loop without the
-    cone, and so is ``herald_distribution``, the weight of every pattern on
-    the ``detected`` modes.  Only the heralded pattern is certified: entries
+    the cutoff, is computed on first read by running the input alone
+    through every squeezer without the cone (``_pre_herald_state``), and so
+    is ``herald_distribution``, the weight of every pattern on the
+    ``detected`` modes.  Only the heralded pattern is certified: entries
     of other patterns near the cutoff can be wrong.
     """
 
@@ -130,14 +131,14 @@ class ProtocolResult:
     leaked_norm: float
     paper_claimed_probability: float | None = None
     closed_form_probability: float | None = None
-    _pre_herald: Callable[[], tuple] | None = field(default=None, repr=False, compare=False)
+    _pre_herald: Callable[[], PureState] | None = field(default=None, repr=False, compare=False)
     detected: tuple[ModeLabel, ...] = ()
     exact: bool = False
 
     @functools.cached_property
     def pre_herald_state(self) -> PureState | None:
-        """State 0 of the pre-herald batch of a run over every row, run now."""
-        return None if self._pre_herald is None else self._pre_herald()[0][0]
+        """The state the herald acts on, every row below the cutoff, run now."""
+        return None if self._pre_herald is None else self._pre_herald()
 
     @functools.cached_property
     def herald_distribution(self) -> list[tuple[tuple[int, ...], float]]:
@@ -212,9 +213,10 @@ def fidelity(a: StateBatch, b: PureState) -> float | np.ndarray:
     return _fidelity(a, b)
 
 
-def _fidelity(a: StateBatch, b: PureState, rows=None) -> float | np.ndarray:
-    """``fidelity`` over ``rows``, ``states._shared_rows(a, b)``; found here if None."""
-    na, nb = a._norms_sq().tolist(), b.norm_sq()
+def _fidelity(a: StateBatch, b: StateBatch, rows=None) -> float | np.ndarray:
+    """``fidelity`` over ``rows``, ``states._shared_rows`` of both occupations (found
+    here if None), to ``b``, a state or a batch of one."""
+    na, nb = a._norms_sq().tolist(), b._norms_sq().item()
     if min(na, default=math.inf) <= EPS_ZERO or nb <= EPS_ZERO:
         raise ZeroNormError("fidelity requires nonzero states")
     return a._per_state([abs(ip) ** 2 / (n * nb) for ip, n in zip(_overlaps(a, b, rows), na)])
@@ -242,7 +244,7 @@ def fix_global_phase(state: StateBatch) -> StateBatch:
 # -- circuits ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
     """A heralded circuit as data: input, amplifier layers, herald and target.
 
@@ -254,7 +256,8 @@ class Circuit:
     and the index g of its coupling in (gamma1, gamma2).  The herald is one
     photon on every ``detected`` mode.  ``closed_form(g1, g2, w0, w1, w2)``
     is the herald probability for input weights w_i = |c_i|^2, and
-    ``paper_claim(g1, g2)`` the probability the paper states, if any.
+    ``paper_claim(g1, g2)`` the probability the paper states, if any.  A
+    circuit equals and hashes as itself only: a run's plan lookup reads no field.
     """
 
     name: str
@@ -350,9 +353,20 @@ def _paths(
 def _cone_peak(
     inputs: tuple[int, ...], pairs: list[tuple[int, int]], detected: list[int]
 ) -> int | float:
-    """Largest occupation on any path from ``inputs`` to the herald; 0 if none, inf if unbounded."""
+    """Largest occupation on any path from ``inputs`` to the herald; 0 if none, inf if unbounded.
+
+    The paths are bounded where the rows' recession cone (the rows without
+    constants, whose integer points are its scaled rays) bounds every shift;
+    then they are walked.  Else a ray raises an occupation without end (the
+    stages fix every shift), from any integer point, if there is one.
+    """
     _, stages, herald = _paths(inputs, pairs, detected)
-    return _peak(stages, herald, list(range(1, len(pairs) + 1))) or 0
+    rows, free = stages + herald, list(range(1, len(pairs) + 1))
+    recession = [[0, *r] for r in {tuple(r[1:]) for r in rows}]
+    if any(None in _range(recession, var, free[:i] + free[i + 1:]) for i, var in enumerate(free)):
+        return math.inf if _has_integer_point(rows, free) else 0
+    return max((r[0] + sum(c * s for c, s in zip(r[1:], shifts))
+                for shifts in _points(rows, free) for r in stages), default=0)
 
 
 def _cone_rows(
@@ -404,29 +418,6 @@ def _range(rows: list, var: int, rest: list[int], integral: bool = True) -> tupl
     return lo, hi
 
 
-def _peak(stages: list, herald: list, free: list[int]) -> int | float | None:
-    """Max of ``stages`` over the integer values of the ``free`` variables that
-    keep every row >= 0; None if there are none, inf if they are unbounded."""
-    rows = stages + herald
-    if not free:
-        return max((r[0] for r in stages), default=0) if all(r[0] >= 0 for r in rows) else None
-    var, rest = free[0], free[1:]
-    bounds = _range(rows, var, rest)
-    if bounds is None:
-        return None
-    lo, hi = bounds
-    if lo is None or hi is None:
-        # A ray of the rows raises an occupation without end (the stages
-        # fix every shift, so a ray that leaves them all alone is 0), and
-        # from an integer point an integer ray stays on integer points.
-        # The rows may still hold no integer point: a herald on an odd
-        # cycle of squeezers asks a shift for half a photon.
-        return math.inf if _has_integer_point(rows, free) else None
-    peaks = (_peak([_fix(r, var, n) for r in stages], [_fix(r, var, n) for r in herald], rest)
-             for n in range(math.ceil(lo), math.floor(hi) + 1))
-    return max((p for p in peaks if p is not None), default=None)
-
-
 def _points(rows: list, free: list[int]) -> Iterator[list[int]]:
     """Every integer value of the ``free`` variables that keeps every row >= 0,
     in lexicographic order; the rows must bound each variable."""
@@ -443,7 +434,7 @@ def _points(rows: list, free: list[int]) -> Iterator[list[int]]:
 
 
 def _has_integer_point(rows: list, free: list[int]) -> bool:
-    """Whether the rows >= 0, rationally feasible, hold an integer point.
+    """Whether the rows >= 0 hold an integer point.
 
     If they do, one lies within n * delta of any rational solution in each
     variable (Cook, Gerards, Schrijver and Tardos 1986, the proximity
@@ -454,7 +445,8 @@ def _has_integer_point(rows: list, free: list[int]) -> bool:
     """
     point, fixed = [], rows  # a rational solution, one variable at a time
     for i, var in enumerate(free):
-        lo, hi = _range(fixed, var, free[i + 1:], integral=False)
+        # rows with no rational solution leave a box around 0 with no point
+        lo, hi = _range(fixed, var, free[i + 1:], integral=False) or (None, None)
         point.append(lo if lo is not None else hi if hi is not None else 0)
         fixed = [_fix(r, var, point[-1]) for r in fixed]
     squares = sorted((sum(r[v] ** 2 for v in free) for r in rows), reverse=True)
@@ -523,7 +515,7 @@ def run_circuit(
         paper_claimed_probability=None if circuit.paper_claim is None
         else circuit.paper_claim(*gammas),
         closed_form_probability=circuit.closed_form(*gammas, *(abs(c) ** 2 for c in cs)),
-        _pre_herald=functools.partial(_run_batch, circuit, coeffs, [params], psi.cutoff, False),
+        _pre_herald=functools.partial(_pre_herald_state, circuit, cs, params, psi.cutoff),
         detected=circuit.detected,
         exact=exact,
     )
@@ -534,20 +526,18 @@ def _run_batch(
     coeffs: InputCoefficients,
     params: Sequence[GateParams],
     cutoff: int | None,
-    cone: bool = True,
 ) -> tuple[StateBatch, PureState, np.ndarray, StateBatch, np.ndarray]:
     """``circuit`` on one input for every ``params``, as one batch.
 
     Returns the pre-herald batch, the target, and per state the herald
     probability, the phase-fixed conditional state and its fidelity to the
     target (0 where the herald probability is at most ``EPS_ZERO``).
-    ``cutoff=None`` is the herald cutoff of the input.  The structure comes
-    from the run plan (``_plan``); this computes the values.  With ``cone``
-    each squeezer but the last hands on only its cone rows (``_Plan.select``):
-    every contribution to a cone row comes from a cone row, in the same order,
-    so the heralded values keep their bits, and the pre-herald ledger holds
-    only what the input and the cone rows pushed past the cutoff.  Without
-    it the pre-herald batch holds every row below the cutoff.
+    ``cutoff=None`` is the herald cutoff of the input.  Every row structure
+    comes from the run plan (``_plan``); this computes the values.  Each
+    squeezer but the last hands on only its cone rows: every contribution to
+    a cone row comes from a cone row, in the same order, so the heralded
+    values keep their bits, and the pre-herald ledger holds only what the
+    input and the cone rows pushed past the cutoff.
     """
     cs = (coeffs.c0, coeffs.c1, coeffs.c2)
     if cutoff is None:
@@ -557,37 +547,35 @@ def _run_batch(
     nonzero = tuple(c != 0 for c in cs)
     # only an int cutoff is memoized: any other raises as the plan is built
     plan = (_plan if isinstance(cutoff, int) else _Plan)(circuit, cutoff, nonzero)
-    # a full run keeps nothing: its arrays are as large as the cutoff allows
-    keep = plan.reuse if cone else lambda name, arrays, build: build()
-    psi = StateBatch.of(_basis_state(*plan.inputs, cs), len(params))
     if not params:
         raise FockError("a squeezer needs at least one spec: with none there is no mode pair")
+    psi = StateBatch.of(_basis_state(*plan.inputs, cs), len(params))
     couplings = list(zip(*[(p.gamma1, p.gamma2) for p in params]))
-    last = len(plan.squeezers) - 1
-    for k, (ia, ib, g) in enumerate(plan.squeezers):
-        lay = keep(("layout", k), (psi.occupations,),
-                   lambda: _layout(psi.occupations, psi.cutoff, ia, ib))
+    for (ia, ib, g), lay, cone in zip(plan.squeezers, plan.layouts, plan.cone_at):
         psi = _squeeze(psi, lay, couplings[g])
-        if cone and k < last:  # the herald's row match selects the last stage's rows
-            psi = plan.select(k, psi)
+        if cone is not None:
+            psi = psi._keep_rows(*cone)
     signed = [-c if i in circuit.negated else c for i, c in enumerate(cs)]
     target = fix_global_phase(_basis_state(*plan.targets, signed))
 
-    idx, counts, keep_idx, kept_modes = plan.herald
-    # the last stage's rows are its layout's, or those up to the largest photon
-    # number a state holds (``StateBatch._prune``): one row set per row count
-    rows = keep(("herald", len(psi.occupations)), (psi.occupations,),
-                lambda: _herald_rows(psi.occupations, idx, counts, keep_idx))
-    outcome = _condition(psi, kept_modes, *rows)
+    outcome = _condition(psi, *plan.herald)
     heralded = outcome.probability > EPS_ZERO
     out_state = fix_global_phase(outcome.conditional_state)
     fid = np.zeros(len(params))
     if heralded.any():
-        kept = out_state.take(heralded)
-        rows = keep("overlap", (kept.occupations, target.occupations),
-                    lambda: _shared_rows(kept, target))
-        fid[heralded] = _fidelity(kept, target, rows)
-    return psi, target, outcome.probability, out_state, fid
+        fid[heralded] = _fidelity(out_state.take(heralded), target, plan.overlap)
+    return psi, target[0], outcome.probability, out_state, fid
+
+
+def _pre_herald_state(circuit: Circuit, cs: tuple, params: GateParams, cutoff: int) -> PureState:
+    """The state ``_run_batch`` heralds, with every row below the cutoff: the
+    input as one ``PureState`` through every squeezer, each on a layout built
+    for it and kept by none."""
+    plan = _plan(circuit, cutoff, tuple(c != 0 for c in cs))
+    psi, gammas = _basis_state(*plan.inputs, cs)[0], (params.gamma1, params.gamma2)
+    for ia, ib, g in plan.squeezers:
+        psi = _squeeze(psi, _layout(psi.occupations, cutoff, ia, ib), [gammas[g]])
+    return psi
 
 
 def _basis_rows(modes: tuple[ModeLabel, ...], occs: Sequence[tuple[int, ...]],
@@ -606,33 +594,37 @@ def _basis_rows(modes: tuple[ModeLabel, ...], occs: Sequence[tuple[int, ...]],
     return rows, [feeds[tuple(occ)] for occ in rows.occupations[:, columns].tolist()]
 
 
-def _basis_state(rows: PureState, feeds: list[list[int]], coeffs: Sequence[complex]) -> PureState:
-    """The state of ``_basis_rows`` with ``coeffs``: each row's sum from 0 in input order."""
+def _basis_state(rows: PureState, feeds: list[list[int]], coeffs: Sequence[complex]) -> StateBatch:
+    """The state of ``_basis_rows`` with ``coeffs``, each row's sum from 0 in input
+    order, as a batch of one on those rows: a pruned coefficient's row is masked."""
     amps = []
     for feed in feeds:
         amp = 0j
         for i in feed:
             amp = amp + complex(coeffs[i]) * (1 + 0j)
         amps.append(amp)
-    return PureState._from_arrays(rows.modes, rows.occupations,
-                                  np.array([amps], dtype=np.complex128), rows.cutoff, np.zeros(1))
+    return StateBatch._from_arrays(rows.modes, rows.occupations,
+                                   np.array([amps], dtype=np.complex128), rows.cutoff, np.zeros(1))
 
 
 class _Plan:
-    """What the runs of a circuit at one cutoff and input support share, built
-    with a run's checks in its order: input and target as ``_basis_rows``, every
-    squeezer as (column, column, coupling index) of the state's modes in the
-    order they apply, and the herald as ``heralding._herald_columns``.
+    """Every row structure of the runs of a circuit at one cutoff and input
+    support, built with a run's checks in its order: input and target as
+    ``_basis_rows``, every squeezer as (column, column, coupling index) of the
+    state's modes in the order they apply, and the herald's columns.
 
     ``cone`` holds, per squeezer, the rows it leaves from which the herald can
     still be reached within the cutoff (read-only, in key order): the rows on
     the integer paths from a nonzero input to the herald, found from the
-    herald polyhedron (``_cone_rows``), never from a squeezer layout.  A cone
-    run keeps under ``reuse`` what it builds from its rows: each squeezer's
-    layout, where each cone sits in a squeezer's output, and the herald's and
-    the target's rows; so a run at a new coupling builds none of them."""
+    herald polyhedron (``_cone_rows``), never from a squeezer layout.  A batch
+    never drops a row, so a run's rows are the plan's: it holds each
+    squeezer's ``layouts`` entry, where each squeezer but the last finds its
+    cone in its output (``cone_at``: positions and rows, None for the last),
+    the ``herald`` arguments of ``heralding._condition`` on the last output,
+    and the rows the conditional state shares with the target (``overlap``).
+    """
 
-    __slots__ = ("inputs", "squeezers", "targets", "herald", "cone", "_kept")
+    __slots__ = ("inputs", "squeezers", "targets", "cone", "layouts", "cone_at", "herald", "overlap")
 
     def __init__(self, circuit: Circuit, cutoff: int, nonzero: tuple[bool, ...]):
         rest = [m for m in circuit.modes if m not in circuit.detected]
@@ -653,40 +645,25 @@ class _Plan:
                 self.squeezers.append((state.index_of(ma), state.index_of(mb), g))
         self.targets = _basis_rows(circuit.out_modes, circuit.targets, nonzero, cutoff)
         pattern = DetectionPattern({m: 1 for m in circuit.detected})
-        self.herald = _herald_columns(state.modes, state.cutoff, pattern)
+        idx, counts, keep_idx, kept_modes = _herald_columns(state.modes, state.cutoff, pattern)
         pairs = [(a, b) for a, b, _ in self.squeezers]
-        cone = _cone_rows(state.occupations.tolist(), pairs, self.herald[0], cutoff)
+        cone = _cone_rows(state.occupations.tolist(), pairs, idx, cutoff)
         self.cone = tuple(np.array(sorted(rows), dtype=np.int64).reshape(-1, len(state.modes))
                           for rows in cone)
-        for rows in self.cone:
-            rows.setflags(write=False)
-        self._kept = {}
-
-    def select(self, k: int, psi: StateBatch) -> StateBatch:
-        """``psi``, the output of squeezer ``k``, on the rows of its cone it holds.
-
-        The weight of the other rows is dropped, not charged to the ledger:
-        none of it can reach the herald within the cutoff."""
-        def build():
-            strides = _key_strides(len(psi.modes), psi.cutoff)
-            rows = np.isin(psi.occupations @ strides, self.cone[k] @ strides).nonzero()[0]
-            return rows, psi.occupations.take(rows, axis=0)
-
-        return psi._keep_rows(*self.reuse(("cone", k), (psi.occupations,), build))
-
-    def reuse(self, name: Hashable, arrays: tuple, build: Callable):
-        """``build()``, kept under ``name`` while ``arrays`` equal the arrays it read,
-        which the entry holds read-only.  The very same objects match without
-        reading a value, as every warm run's do; equal copies, which pruning
-        gives a run whose rows it rebuilds (a weak coupling at a large cutoff,
-        a coefficient too small to keep), match after one comparison.  An
-        entry is one tuple, so a concurrent run never pairs arrays with what
-        others built."""
-        entry = self._kept.get(name)
-        if entry is None or any(x is not y and not np.array_equal(x, y)
-                                for x, y in zip(entry[0], arrays)):
-            entry = self._kept[name] = (arrays, build())
-        return entry[1]
+        strides = _key_strides(len(state.modes), cutoff)
+        occ, self.layouts, self.cone_at = state.occupations, [], []
+        for k, (ia, ib, _) in enumerate(self.squeezers):
+            self.layouts.append(_layout(occ, cutoff, ia, ib))
+            occ, at = self.layouts[-1].occupations, None
+            if k < len(self.squeezers) - 1:  # the herald's row match selects the last stage's
+                at = np.isin(occ @ strides, self.cone[k] @ strides).nonzero()[0]
+                occ = occ.take(at, axis=0)
+            self.cone_at.append(None if at is None else (at, occ))
+        match, kept_occ = _herald_rows(occ, idx, counts, keep_idx)
+        self.herald = (kept_modes, match, kept_occ)
+        self.overlap = _shared_rows(kept_occ, self.targets[0].occupations, cutoff)
+        for array in (*self.cone, match, kept_occ, *self.overlap):
+            array.setflags(write=False)
 
 
 # the run plans of the last circuits run, each built on its first run; the

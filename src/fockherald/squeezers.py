@@ -138,11 +138,11 @@ class _Layout:
     ``half_steps`` holds t / 2 for each distinct decay step t the rows
     read.  ``group`` numbers each contribution's output column in the float
     view of the complex sums (2g and 2g + 1, see
-    ``states._group_sums``), ``occupations`` are the output rows and
-    ``photons`` their total photon numbers.  ``by_line`` lists the input
-    rows line by line (fixed spectators and n_a - n_b), each line starting
-    at ``line_starts``, and ``out_line`` is each output's line.  Every caller
-    shares a layout, so its arrays are read-only.
+    ``states._group_sums``) and ``occupations`` are the output rows.
+    ``by_line`` lists the input rows line by line (fixed spectators and
+    n_a - n_b), each line starting at ``line_starts``, and ``out_line`` is
+    each output's line.  Every caller shares a layout, so its arrays are
+    read-only.
     """
 
     term: np.ndarray
@@ -155,7 +155,6 @@ class _Layout:
     raise_at: np.ndarray
     group: np.ndarray
     occupations: np.ndarray
-    photons: np.ndarray
     by_line: np.ndarray
     line_starts: np.ndarray
     out_line: np.ndarray
@@ -226,13 +225,12 @@ def _layout(occ: np.ndarray, cutoff: int, ia: int, ib: int) -> _Layout:
     shift = pos - min_mn.take(src)
     out_occ[:, ia] += shift
     out_occ[:, ib] += shift
-    photons = occ.sum(axis=1).take(src) + 2 * shift  # summed over the fewer input rows
 
     by_line = line_of.argsort(kind="stable")
     per_line = np.bincount(line_of, minlength=len(rep))
     line_starts = per_line.cumsum() - per_line
     return _Layout(term, low_at, decay_at, half_steps, row, roots, steps, raise_at,
-                   _interleave(group), out_occ, photons, by_line, line_starts,
+                   _interleave(group), out_occ, by_line, line_starts,
                    out_line.take(order))
 
 
@@ -299,7 +297,7 @@ def _squeeze(state: StateBatch, lay: _Layout, gammas: Sequence[float]) -> StateB
     deficit = state._norms_sq() - _row_sums(mag2, reach)
     leaked = state._ledger + np.maximum(0.0, deficit)
     return type(state)._from_arrays(
-        state.modes, lay.occupations, out_amp, state.cutoff, leaked, reach, mag2, lay.photons
+        state.modes, lay.occupations, out_amp, state.cutoff, leaked, reach, mag2
     )
 
 

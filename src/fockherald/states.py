@@ -230,15 +230,12 @@ class StateBatch:
     holds each state's ledger.  All three are read-only.  A state's terms
     are its nonzero entries: ``support`` marks them, or is None when every
     state has every term.  Pruning masks an entry (zero, outside the
-    support) and keeps its row; only rows past the largest photon number
-    that any state still holds are dropped, and only where they are at
-    least half of the batch (see ``_prune``).  So the rows of a
-    kernel's result seldom depend on the values, and the squeezer reuses
-    its index layout across couplings.  The kernels build the term
-    structure of a batch once and compute only the values row by row, and
-    every sum over a state's terms runs over its support in column order,
-    so row b of a result equals, bit for bit, what the same kernel gives
-    ``batch[b]`` alone.
+    support) and never drops its row, so the rows of a kernel's result
+    depend only on the rows it was given, never on the values.  The
+    kernels build the term structure of a batch once and compute only the
+    values row by row, and every sum over a state's terms runs over its
+    support in column order, so row b of a result equals, bit for bit, what
+    the same kernel gives ``batch[b]`` alone.
 
     States are immutable by convention: no method mutates ``self`` and all
     operations return fresh states, so values can be shared freely between
@@ -249,11 +246,12 @@ class StateBatch:
                  "_abs2")
 
     @staticmethod
-    def of(state: "PureState", size: int = 1) -> "StateBatch":
-        """``size`` copies of ``state``."""
+    def of(state: "StateBatch", size: int = 1) -> "StateBatch":
+        """``size`` copies of ``state``, a state or a batch of one."""
         batch = StateBatch.__new__(StateBatch)
         batch._set(state.modes, state.occupations, state._amps.repeat(size, axis=0),
-                   state.cutoff, state._ledger.repeat(size), None,
+                   state.cutoff, state._ledger.repeat(size),
+                   None if state.support is None else state.support.repeat(size, axis=0),
                    None if state._abs2 is None else state._abs2.repeat(size, axis=0))
         return batch
 
@@ -267,7 +265,6 @@ class StateBatch:
         leaked_norm: np.ndarray,
         support: np.ndarray | None = None,
         mag2: np.ndarray | None = None,
-        photons: np.ndarray | None = None,
     ) -> "StateBatch":
         """Kernel-side constructor: a state of the kind ``cls`` from its arrays.
 
@@ -278,25 +275,22 @@ class StateBatch:
         unique and in lexicographic order.  ``amplitudes`` has one row per
         state (one for a ``PureState``).  ``support`` marks the entries that
         are terms of each state (None: all of them); entries outside it must
-        be zero.  ``mag2`` is ``_mag2(amplitudes)`` and ``photons`` each
-        row's total photon number, if the caller has them.  See ``_prune``.
+        be zero.  ``mag2`` is ``_mag2(amplitudes)``, if the caller has it.
+        See ``_prune``.
         """
         state = cls.__new__(cls)
-        state._prune(modes, occupations, amplitudes, cutoff, leaked_norm, support, mag2, photons)
+        state._prune(modes, occupations, amplitudes, cutoff, leaked_norm, support, mag2)
         return state
 
     def _prune(self, modes, occupations, amplitudes, cutoff, leaked_norm,
-               support=None, mag2=None, photons=None) -> None:
+               support=None, mag2=None) -> None:
         """Store the arrays, with every pruned term moved to its state's ledger.
 
         The one pruning rule of both constructors: a term stays if ``_kept``
         says so, and the rest are added to the ledger as one pairwise sum per
         state, in row order.  A batch zeroes a pruned entry, which leaves the
-        support, and keeps its row, unless the row's total photon number lies
-        past the largest one any state holds and such rows are at least half
-        of the batch: those are dropped.  So a batch holds at most twice the
-        rows up to that photon number.  A ``PureState``'s rows are its terms,
-        so it drops every pruned one.
+        support, and keeps its row, so its rows are the rows it was given.  A
+        ``PureState``'s rows are its terms, so it drops every pruned one.
         """
         if mag2 is None:
             mag2 = _mag2(amplitudes)
@@ -304,18 +298,10 @@ class StateBatch:
         if not mag2.size or _kept(np.minimum.reduce(mag2, axis=None)):  # a NaN makes it false
             self._set(tuple(modes), occupations, amplitudes, cutoff, leaked, None, mag2)
             return
-        keep = _kept(mag2)
+        keep = _kept(mag2)  # not all set: the smallest entry, or a NaN, is pruned
         leaked = leaked + _row_sums(mag2, ~keep if support is None else support & ~keep)
         if type(self) is StateBatch:
-            if photons is None:
-                photons = occupations.sum(axis=1)
-            rows = photons <= photons.compress(keep.any(axis=0)).max(initial=-1)
-            if 2 * np.count_nonzero(rows) <= len(rows):
-                occupations = occupations.compress(rows, axis=0)
-                amplitudes, keep = amplitudes.compress(rows, axis=1), keep.compress(rows, axis=1)
-            support = None if keep.all() else keep
-            if support is not None:
-                amplitudes = np.where(keep, amplitudes, 0)
+            support, amplitudes = keep, np.where(keep, amplitudes, 0)
         else:
             support = None
             occupations = occupations.compress(keep[0], axis=0)
@@ -589,29 +575,33 @@ def inner_product(a: StateBatch, b: PureState) -> complex | np.ndarray:
     return a._per_state(_overlaps(a, b))
 
 
-def _shared_rows(batch: StateBatch, b: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``batch`` and of ``b`` that hold the same occupation, in key order."""
-    if batch.modes != b.modes:
-        raise ModeMismatchError("inner_product requires identical mode sets")
-    # rows are unique within each state, so a key shared by both appears
+def _shared_rows(a: np.ndarray, b: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the occupation matrices ``a`` and ``b`` (entries at most
+    ``cutoff``) that hold the same occupation, in key order."""
+    # rows are unique within each matrix, so a key shared by both appears
     # exactly twice after a stable sort: a's row first, then b's
-    strides = _key_strides(len(b.modes), max(batch.cutoff, b.cutoff))
-    keys = np.concatenate((batch.occupations @ strides, b.occupations @ strides))
+    strides = _key_strides(a.shape[1], cutoff)
+    keys = np.concatenate((a @ strides, b @ strides))
     order = keys.argsort(kind="stable")
     sorted_keys = keys.take(order)
     shared = (sorted_keys[1:] == sorted_keys[:-1]).nonzero()[0]
-    return order.take(shared), order.take(shared + 1) - len(batch.occupations)
+    return order.take(shared), order.take(shared + 1) - len(a)
 
 
-def _overlaps(batch: StateBatch, b: PureState, rows=None) -> list[complex]:
+def _overlaps(batch: StateBatch, b: StateBatch, rows=None) -> list[complex]:
     """<a|b> for every state a of ``batch``, each one 1-d product summed by a 1-d ``sum``.
 
-    ``rows`` is ``_shared_rows(batch, b)``, found here if None.  The products
-    of all states are one flat 1-d product: numpy's complex product rounds
-    differently on a 2-d broadcast.
+    ``b`` is a state or a batch of one.  ``rows`` is ``_shared_rows`` of
+    both occupations, found here if None.  The products of all states are
+    one flat 1-d product: numpy's complex product rounds differently on a
+    2-d broadcast.
     """
-    rows_a, rows_b = _shared_rows(batch, b) if rows is None else rows
-    amp_b = b.amplitudes.take(rows_b)
+    if rows is None:
+        if batch.modes != b.modes:
+            raise ModeMismatchError("inner_product requires identical mode sets")
+        rows = _shared_rows(batch.occupations, b.occupations, max(batch.cutoff, b.cutoff))
+    rows_a, rows_b = rows
+    amp_b = b._amps[0].take(rows_b)
     if batch.support is None:
         prods = batch._amps.take(rows_a, axis=1).conj().ravel() * np.tile(amp_b, len(batch))
         return _row_sums(prods.reshape(len(batch), len(rows_a)), None).tolist()

@@ -123,7 +123,7 @@ def basis_sum(modes, occs, coeffs, cutoff):
     as ``superpose``'s ``bincount`` adds them, which also turns a -0.0 part
     into +0.0.
     """
-    return _basis_state(*_basis_rows(modes, occs, [c != 0 for c in coeffs], cutoff), coeffs)
+    return _basis_state(*_basis_rows(modes, occs, [c != 0 for c in coeffs], cutoff), coeffs)[0]
 
 
 def _mapped_sum(modes, occs, coeffs, cutoff):

@@ -135,13 +135,14 @@ def test_the_full_state_is_run_on_first_read_only(monkeypatch):
     res.herald_distribution
     res.pre_herald_state
     assert calls[:4] == [3, 3, 3, 3] and len(calls) == 8
-    assert calls[4:] == [3, 27, 243, 1278]  # the full run, once
+    # the full run, once, as one state: it drops the one term that the
+    # third squeezer prunes, where a batch would mask it
+    assert calls[4:] == [3, 27, 243, 1277]
 
 
-def _kept_rows(plan) -> list:
-    """The input rows of every squeezer layout ``plan`` keeps, by squeezer."""
-    entries = [plan._kept.get(("layout", k)) for k in range(len(plan.squeezers))]
-    return [arrays[0] for arrays, _ in filter(None, entries)]
+def _layout_inputs(plan) -> list:
+    """The rows each squeezer's layout in ``plan`` was built on."""
+    return [plan.inputs[0].occupations] + [occ for _, occ in plan.cone_at[:-1]]
 
 
 def test_a_cold_cone_run_keeps_only_cone_sized_layouts(monkeypatch):
@@ -150,20 +151,20 @@ def test_a_cold_cone_run_keeps_only_cone_sized_layouts(monkeypatch):
     recording(monkeypatch, protocols, "_layout", built, lambda occ, *key: occ)
     run_qutrit_teleport(InputCoefficients(0.6, 0.48, 0.64), 0.1, cutoff=16)
     assert [len(occ) for occ in built] == [3, 3, 3, 3]
-    # the plan keeps exactly the layouts of these calls, and nothing else does
-    kept = _kept_rows(_plan(QUTRIT_TELEPORT, 16, (True,) * 3))
-    assert [id(occ) for occ in kept] == [id(occ) for occ in built]
+    # the plan holds exactly the layouts of these calls, on its own rows
+    plan = _plan(QUTRIT_TELEPORT, 16, (True,) * 3)
+    assert len(plan.layouts) == 4
+    assert [id(occ) for occ in _layout_inputs(plan)] == [id(occ) for occ in built]
 
 
 def test_a_full_run_keeps_none_of_its_layouts(monkeypatch):
     res = run_qutrit_teleport(InputCoefficients(0.6, 0.48, 0.64), 0.1, cutoff=8)
     plan = _plan(QUTRIT_TELEPORT, 8, (True,) * 3)
-    kept = dict(plan._kept)
+    layouts = [id(lay) for lay in plan.layouts]
     built = []
     recording(monkeypatch, protocols, "_layout", built, lambda occ, *key: len(occ))
     res.pre_herald_state
-    assert built == [3, 27, 243, 1278]
-    # the plan holds the cone run's entries only, the very same ones
-    assert [len(occ) for occ in _kept_rows(plan)] == [3, 3, 3, 3]
-    assert plan._kept.keys() == kept.keys()
-    assert all(plan._kept[name] is entry for name, entry in kept.items())
+    assert built == [3, 27, 243, 1277]
+    # the plan holds the cone run's layouts only, the very same ones
+    assert [len(occ) for occ in _layout_inputs(plan)] == [3, 3, 3, 3]
+    assert [id(lay) for lay in plan.layouts] == layouts

@@ -1,11 +1,11 @@
 """Squeezer layouts: what a squeezer derives from the rows only, kept by the run plan.
 
 A batch keeps its rows through pruning (a pruned entry only leaves the
-support) unless dropping the rows past the largest photon number a state
-holds halves it, so the rows after each layer, and with them each layer's
-layout, mostly depend on the input, the cutoff and the mode pair, not on
-the couplings.  A cone run keeps each squeezer's layout in its run plan
-(``protocols._Plan.reuse``); the public kernels build theirs on every call.
+support), so the rows after each layer, and with them each layer's layout,
+depend on the input rows, the cutoff and the mode pair only, never on the
+couplings or the coefficients.  The run plan builds each squeezer's layout
+once (``protocols._Plan.layouts``); the public kernels build theirs on
+every call.
 """
 
 import math
@@ -58,32 +58,21 @@ def qutrit_layers(gamma2, cutoff=8):
 
 
 def test_batch_rows_do_not_depend_on_the_coupling():
-    weak, strong = qutrit_layers(0.02), qutrit_layers(0.24)
-    for a, b in zip(weak, strong):
-        assert np.array_equal(a.occupations, b.occupations)
-    # the weak coupling prunes entries the strong one keeps, and the batch
-    # keeps their rows as masked entries: zero and outside the support
-    assert weak[-1].support is not None
-    assert not np.array_equal(weak[-1].support, strong[-1].support)
-    masked = ~weak[-1].support[0]
-    assert (weak[-1].amplitudes[0][masked] == 0).all()
-    assert len(weak[-1][0].occupations) == weak[-1].support[0].sum()
-
-
-def test_a_weak_coupling_drops_the_rows_past_its_photons():
-    # at cutoff 16 gamma2 = 0.02 holds at most 23 photons of the 65 the
-    # cutoff allows; a batch drops the rows past the photons held where
-    # they are at least half of it, so it keeps under twice the rows below
-    weak, strong = qutrit_layers(0.02, 16), qutrit_layers(0.24, 16)
-    for a, b in zip(weak, strong):
-        total = a.occupations.sum(axis=1)
-        held = np.ones(len(total), bool) if a.support is None else a.support.any(axis=0)
-        assert len(total) < 2 * np.count_nonzero(total <= total[held].max())
-        rows = {r.tobytes() for r in b.occupations}
-        assert all(r.tobytes() in rows for r in a.occupations)
-    assert weak[-1].occupations.sum(axis=1).max() == 23
-    assert len(weak[-1].occupations) * 10 < len(strong[-1].occupations)
-    assert not weak[-1].support.all()  # rows below 23 photons stay masked
+    for cutoff in (8, 16):
+        weak, strong = qutrit_layers(0.02, cutoff), qutrit_layers(0.24, cutoff)
+        for a, b in zip(weak, strong):
+            assert np.array_equal(a.occupations, b.occupations)
+        # the weak coupling prunes entries the strong one keeps, and the batch
+        # keeps their rows as masked entries: zero and outside the support
+        assert weak[-1].support is not None
+        assert not np.array_equal(weak[-1].support, strong[-1].support)
+        masked = ~weak[-1].support[0]
+        assert (weak[-1].amplitudes[0][masked] == 0).all()
+        assert len(weak[-1][0].occupations) == weak[-1].support[0].sum()
+    # at cutoff 16 gamma2 = 0.02 holds at most 23 photons, and the batch
+    # keeps every row up to the 65 the cutoff allows, masked past 23
+    total = weak[-1].occupations.sum(axis=1)
+    assert total[weak[-1].support[0]].max() == 23 and total.max() == 65
 
 
 # each workload's circuit at a coupling g, and its number of squeezers
@@ -98,9 +87,7 @@ RUNS_AT = {
 
 def test_a_run_at_a_new_coupling_builds_no_layout(monkeypatch):
     # a warm run finds every layout in its run plan: the very objects the
-    # run before used, with no layout and no squeezer spec built.  At gamma1
-    # 0.05 and cutoff 64 NLS drops the rows past its photons, so its first
-    # stage's rows are fresh on every run, and equal
+    # run before used, with no layout and no squeezer spec built
     built, specs, used = [], [], []
     recording(monkeypatch, protocols, "_layout", built, lambda *args: len(args[0]))
     recording(monkeypatch, SqueezerSpec, "__post_init__", specs, lambda spec: spec)
@@ -145,9 +132,8 @@ def test_a_layer_that_does_not_lower_computes_no_lowering_series(monkeypatch):
 
 
 def test_a_warm_nls_stream_builds_no_herald_rows(monkeypatch):
-    # the last squeezer's rows are its layout's, or those up to the largest
-    # photon number a state holds, as the coefficients decide: the stream
-    # builds the herald rows of each row set once, and then none
+    # the last squeezer's rows are its layout's whatever the coefficients:
+    # the plan builds their herald rows once, and the stream none
     rng = random.Random(19)
     stream = []
     for _ in range(200):
@@ -162,7 +148,7 @@ def test_a_warm_nls_stream_builds_no_herald_rows(monkeypatch):
     recording(monkeypatch, protocols, "_condition", rows, lambda psi, *rest: len(psi.occupations))
     for coeffs in stream:
         run_nls(coeffs, params, 64)
-    assert len(set(rows)) > 2 and sorted(built) == sorted(set(rows))
+    assert sorted(built) == sorted(set(rows))
     del built[:]
     for coeffs in stream:
         assert _heralded(_run_batch(NLS, coeffs, [params], 64)) == _heralded(
@@ -240,8 +226,8 @@ def test_the_lowering_series_is_computed_once_per_pair():
 
 
 def test_a_warm_run_reads_no_row_values():
-    # each layer's input is the very array its kept layout was built from:
-    # the run plan's input rows, then the cone rows the plan kept
+    # each layer's input is the very array its layout was built from: the
+    # run plan's input rows, then the cone rows the plan holds
     run_qutrit_teleport(COEFFS, 0.05, cutoff=8)
     seen = []
 
@@ -261,18 +247,21 @@ def test_a_warm_run_reads_no_row_values():
 
 
 @pytest.mark.parametrize("circuit, cutoff", [(NLS, None), (NLS, 64), (QUTRIT_TELEPORT, 8)])
-def test_a_pruned_input_gets_fresh_rows_and_the_reference_bits(circuit, cutoff, monkeypatch):
-    # c0 = 1e-9 falls below the pruning threshold, so every run builds its
-    # input rows anew: the plan finds its layouts for them by value
+def test_a_pruned_input_keeps_the_plan_rows_and_the_reference_bits(circuit, cutoff, monkeypatch):
+    # c0 = 1e-9 falls below the pruning threshold: the input batch masks its
+    # row, the vacuum, and keeps the plan's input rows on every run
     coeffs = InputCoefficients(1e-9, 0.6, 0.8)
     params = [GateParams(0.3, 0.2), GateParams(0.1, 0.05)]
     inputs, built = [], []
-    recording(monkeypatch, protocols, "_squeeze", inputs, lambda state, *rest: state.occupations)
+    recording(monkeypatch, protocols, "_squeeze", inputs, lambda state, *rest: state)
     _run_batch(circuit, coeffs, params, cutoff)
     recording(monkeypatch, protocols, "_layout", built, lambda *args: args)
     _run_batch(circuit, coeffs, params, cutoff)
     layers = len(inputs) // 2
-    assert built == [] and len(inputs[0]) < len(circuit.inputs)
-    assert inputs[0] is not inputs[layers] and np.array_equal(inputs[0], inputs[layers])
+    plan = _plan(circuit, inputs[0].cutoff, (True,) * 3)
+    assert built == [] and inputs[0].occupations is inputs[layers].occupations
+    assert inputs[0].occupations is plan.inputs[0].occupations
+    assert len(inputs[0].occupations) == len(circuit.inputs)
+    assert inputs[0].support.tolist() == [[False, True, True]] * len(params)
     for _ in range(2):
         assert_same_run(circuit, coeffs, params, cutoff)

@@ -3,7 +3,9 @@
 ``protocols._run_batch`` computes only values over a plan kept by
 ``protocols._plan``; ``tests/bruteforce.py::run_batch_reference`` rebuilds
 everything on every run through the public steps.  Both must give the same
-bits, or the same exception type and message.
+bits, or the same exception type and message.  The full state behind
+``pre_herald_state`` (``protocols._pre_herald_state``) must equal the
+reference's pre-herald state, state by state.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from bruteforce import run_batch_reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockherald import (
@@ -34,6 +36,7 @@ from fockherald.protocols import (
     QUTRIT_TELEPORT,
     GateParams,
     _plan,
+    _pre_herald_state,
     _run_batch,
 )
 
@@ -79,18 +82,19 @@ def recording(monkeypatch, owner, name, log, entry):
 
 
 def assert_same_run(circuit, coeffs, params, cutoff):
-    """The cone run's heralded fields and everything the full run returns,
-    the pre-herald batch first, equal the reference; returns both runs."""
+    """The run's heralded fields equal the reference's, and the full state of
+    each params equals that state of the reference's pre-herald batch;
+    returns the run and the full states."""
     want = _outcome(run_batch_reference, circuit, coeffs, params, cutoff)
     got = _outcome(_run_batch, circuit, coeffs, params, cutoff)
-    full = _outcome(_run_batch, circuit, coeffs, params, cutoff, False)
     if isinstance(want, tuple) and isinstance(want[0], type):
-        assert got == want and full == want
-        return got, full
-    for run in (got, full):
-        assert not (isinstance(run, tuple) and isinstance(run[0], type)), run
-    assert [_bits(x) for x in full] == [_bits(x) for x in want]
+        assert got == want
+        return got, None
+    assert not (isinstance(got, tuple) and isinstance(got[0], type)), got
     assert _heralded(got) == _heralded(want)
+    cs = (coeffs.c0, coeffs.c1, coeffs.c2)
+    full = [_pre_herald_state(circuit, cs, p, got[0].cutoff) for p in params]
+    assert [_bits(x) for x in full] == [_bits(want[0][b]) for b in range(len(params))]
     return got, full
 
 
@@ -111,9 +115,53 @@ _COUPLING = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.9))
 )
 def test_a_planned_run_gives_the_reference_bits(circuit, cs, cutoff, params):
     coeffs = InputCoefficients(*cs)
-    # the second run finds its plan (and its herald and overlap rows) kept
+    # the second run finds its plan kept
     for _ in range(2):
         assert_same_run(circuit, coeffs, params, cutoff)
+
+
+# what only a plan builds: a run over a built plan calls none of them
+ROW_BUILDERS = {"_layout", "_herald_rows", "_shared_rows", "array_equal"}
+
+
+def _calls(fn, *args):
+    """``fn(*args)`` (or the exception it raises) and the names of the calls it made."""
+    seen = []
+
+    def watch(frame, event, arg):
+        if event == "call":
+            seen.append(frame.f_code.co_name)
+        elif event == "c_call":
+            seen.append(getattr(arg, "__name__", ""))
+
+    sys.setprofile(watch)
+    try:
+        return _outcome(fn, *args), set(seen)
+    finally:
+        sys.setprofile(None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.sampled_from([(NLS, None), (NLS, 8), (NLS, 64), (QUBIT_TELEPORT, None),
+                          (QUBIT_TELEPORT, 16), (QUTRIT_TELEPORT, None), (QUTRIT_TELEPORT, 4)]),
+    cs=st.tuples(_COEFF, _COEFF, _COEFF),
+    params=st.lists(st.builds(GateParams, _COUPLING, _COUPLING), min_size=1, max_size=32),
+)
+@example(case=(NLS, 64), cs=(0.6, 0.48, 0.64), params=[GateParams(0.05, 0.025)])
+@example(case=(QUTRIT_TELEPORT, 4), cs=(1e-9, 0.6, 0.8), params=[GateParams(0.3, 0.2)] * 32)
+def test_a_run_over_a_built_plan_builds_no_rows(case, cs, params):
+    # a batch's rows depend only on the rows it came from, whatever the
+    # coefficients (signed zeros, pruned or NaN ones), couplings and batch size
+    (circuit, cutoff), coeffs = case, InputCoefficients(*cs)
+    _outcome(_run_batch, circuit, coeffs, params, cutoff)  # builds the plan
+    got, seen = _calls(_run_batch, circuit, coeffs, params, cutoff)
+    assert not seen & ROW_BUILDERS
+    want = _outcome(run_batch_reference, circuit, coeffs, params, cutoff)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert _heralded(got) == _heralded(want)
 
 
 def test_a_reordered_circuit_runs_as_the_canonical_one():
@@ -135,6 +183,16 @@ def test_a_run_at_a_new_coupling_builds_no_plan_and_no_layout(monkeypatch):
     assert layouts == []
 
 
+def test_a_circuit_keys_its_plans_as_itself():
+    # a circuit hashes and compares by identity: a field-for-field copy is
+    # another circuit, with plans of its own
+    copy = replace(NLS)
+    assert copy != NLS and copy == copy and len({NLS, copy}) == 2
+    assert _plan(copy, 2, (True,) * 3) is not _plan(NLS, 2, (True,) * 3)
+    assert protocols.run_circuit(copy, COEFFS, GateParams(0.3, 0.2)).to_json() == (
+        protocols.run_circuit(NLS, COEFFS, GateParams(0.3, 0.2)).to_json())
+
+
 def test_the_plan_memo_is_bounded():
     assert _plan.cache_info().maxsize == LAYOUT_MEMO
     _plan.cache_clear()
@@ -153,53 +211,48 @@ def test_a_float_cutoff_never_reuses_an_int_cutoffs_plan():
 
 
 def test_new_pre_herald_rows_are_projected_anew():
-    # in a full run at cutoff 16 gamma2 = 0.02 drops the rows past its
-    # photons, 0.24 keeps them: the plan's kept herald rows belong to other
-    # occupations and must be rebuilt, and the runs that follow each must
-    # match again (a cone run between them projects its own rows)
+    # at cutoff 16 gamma2 = 0.02 prunes terms that 0.24 keeps: the full
+    # state, one state, drops them and is built anew on each read, while
+    # every cone run projects onto the plan's own rows
     params = [GateParams.teleport(g2) for g2 in (0.02, 0.24, 0.02)]
-    occupations = []
+    occupations, conditional = [], []
     for p in params:
-        psi = assert_same_run(QUTRIT_TELEPORT, COEFFS, [p], 16)[1][0]  # the full run's
-        occupations.append(psi.occupations)
+        run, (full,) = assert_same_run(QUTRIT_TELEPORT, COEFFS, [p], 16)
+        occupations.append(full.occupations)
+        conditional.append(run[3].occupations)
     assert len(occupations[0]) < len(occupations[1])
-    assert occupations[0] is not occupations[2]  # rows dropped anew on each run
+    assert occupations[0] is not occupations[2]
+    kept = _plan(QUTRIT_TELEPORT, 16, (True,) * 3).herald[2]
+    assert all(occ is kept for occ in conditional)
 
 
 def test_pre_herald_state_is_built_on_first_read(monkeypatch):
     calls = []
-    getitem = StateBatch.__getitem__
-
-    def counting(self, b):
-        calls.append(b)
-        return getitem(self, b)
-
-    monkeypatch.setattr(StateBatch, "__getitem__", counting)
+    recording(monkeypatch, protocols, "_pre_herald_state", calls, lambda *args: args[3])
     res = run_qutrit_teleport(COEFFS, 0.1, cutoff=3)
     res.to_json()
-    assert calls == [0]  # the output state, taken from its batch of one
+    assert calls == []
     state = res.pre_herald_state
-    assert res.pre_herald_state is state and calls == [0, 0]
+    assert res.pre_herald_state is state and calls == [3]
     total = math.fsum(w for _, w in res.herald_distribution)
     assert abs(total + res.pre_herald_state.leaked_norm - 1.0) <= 1e-12
 
 
 def test_threads_sharing_a_plan_get_their_own_rows():
-    # a weak and a strong coupling at cutoff 16 give the qubit different
-    # pre-herald and conditional rows, so the plan's kept rows keep
-    # changing under the threads; each run must still give its own bits
+    # a weak and a strong coupling at cutoff 16 prune the qubit's states
+    # differently; threads that share the plan, and read the full state
+    # between runs, must each still get their own bits
     coeffs = InputCoefficients(0.6, 0.8)
     couplings = [[GateParams(0.001, 0.001)], [GateParams(0.3, 0.2)]]
     want = [run_batch_reference(QUBIT_TELEPORT, coeffs, p, 16) for p in couplings]
-    want = [(_heralded(run), _bits(run[0])) for run in want]
-    assert want[0][1][3] != want[1][1][3]  # the pre-herald row counts differ
+    want = [(_heralded(run), _bits(run[0][0])) for run in want]
     wrong = []
 
     def work(offset):
         for i in range(1000):
             k = (i + offset) % 2
             got = _heralded(_run_batch(QUBIT_TELEPORT, coeffs, couplings[k], 16))
-            full = _bits(_run_batch(QUBIT_TELEPORT, coeffs, couplings[k], 16, False)[0])
+            full = _bits(_pre_herald_state(QUBIT_TELEPORT, (0.6, 0.8, 0j), couplings[k][0], 16))
             if (got, full) != want[k]:
                 wrong.append((offset, i))
 
