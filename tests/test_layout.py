@@ -69,10 +69,19 @@ def test_batch_rows_do_not_depend_on_the_coupling():
         masked = ~weak[-1].support[0]
         assert (weak[-1].amplitudes[0][masked] == 0).all()
         assert len(weak[-1][0].occupations) == weak[-1].support[0].sum()
-    # at cutoff 16 gamma2 = 0.02 holds at most 23 photons, and the batch
-    # keeps every row up to the 65 the cutoff allows, masked past 23
+
+
+def test_a_weak_coupling_drops_the_rows_past_its_photons():
+    # at cutoff 16 gamma2 = 0.02 holds at most 23 photons of the 65 the
+    # cutoff allows.  The batch keeps every row, masked past 23; the state
+    # it holds drops them, and keeps under a tenth of the strong state's rows
+    weak, strong = qutrit_layers(0.02, 16), qutrit_layers(0.24, 16)
     total = weak[-1].occupations.sum(axis=1)
     assert total[weak[-1].support[0]].max() == 23 and total.max() == 65
+    state = weak[-1][0]
+    assert isinstance(state, PureState)
+    assert state.occupations.sum(axis=1).max() == 23
+    assert len(state.occupations) * 10 < len(strong[-1][0].occupations)
 
 
 # each workload's circuit at a coupling g, and its number of squeezers
