@@ -11,7 +11,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 
 from . import protocols, squeezers
@@ -27,33 +26,16 @@ def _fail(message: str, code: int = USAGE_ERROR) -> int:
 
 
 def _cutoff(args) -> int | None:
-    """``--cutoff``, else ``FOCKHERALD_CUTOFF``, else None (the herald cutoff); must be >= 1."""
-    if args.cutoff is not None:
-        name, raw = "--cutoff", args.cutoff
-    else:
-        name, raw = "FOCKHERALD_CUTOFF", os.environ.get("FOCKHERALD_CUTOFF")
-        if raw is None:
-            return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FockError(f"{name} must be an integer, got {raw!r}")
-    if value < 1:
-        raise FockError(f"{name} must be positive, got {value}")
-    return value
+    """``--cutoff``, or None (the herald cutoff); must be >= 1."""
+    if args.cutoff is not None and args.cutoff < 1:
+        raise FockError(f"--cutoff must be positive, got {args.cutoff}")
+    return args.cutoff
 
 
 def _coefficients(args) -> protocols.InputCoefficients:
-    def pick(name: str) -> complex:
-        re = getattr(args, f"{name}_re")
-        im = getattr(args, f"{name}_im")
-        short = getattr(args, name)
-        if short is not None and re is not None:
-            raise FockError(f"--{name} and --{name}-re are mutually exclusive")
-        real = short if short is not None else (re or 0.0)
-        return complex(real, im or 0.0)
-
-    return protocols.InputCoefficients(pick("c0"), pick("c1"), pick("c2"))
+    # ``or`` reads an imaginary -0.0 as +0.0, a real one stays as it is
+    return protocols.InputCoefficients(
+        *(complex(getattr(args, c), getattr(args, f"{c}_im") or 0.0) for c in ("c0", "c1", "c2")))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -67,8 +49,6 @@ def cmd_params(args) -> int:
     else:
         if args.gamma2 is None:
             raise FockError("params teleport requires --gamma2")
-        if not 0.0 < args.gamma2 < 0.5:
-            raise FockError("gamma2 must lie in (0,0.5)")
         g2 = args.gamma2
         g1 = protocols.solve_teleport_constraint(g2)
         residual = abs(protocols.coupling_residuals(g1, g2)[0])
@@ -82,10 +62,8 @@ def cmd_run(args) -> int:
     if args.protocol == "nls":
         cutoff = _cutoff(args)
         if args.gamma1 is not None or args.gamma2 is not None:
-            if args.auto_params:
-                raise FockError("--auto-params conflicts with explicit gammas")
             if args.gamma1 is None or args.gamma2 is None:
-                raise FockError("nls needs both --gamma1 and --gamma2, or --auto-params")
+                raise FockError("nls needs both --gamma1 and --gamma2, or neither")
             params = protocols.GateParams(args.gamma1, args.gamma2)
             constrained = False
         else:
@@ -171,8 +149,6 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.cutoff > 16:
         raise FockError("oracle-check supports cutoff <= 16")
-    if not 0.0 <= args.gamma < 1.0:
-        raise FockError("gamma must lie in [0, 1)")
     deviation = squeezers.oracle_max_deviation(args.gamma, args.cutoff, args.theta_terms)
     print(json.dumps({"gamma": args.gamma, "cutoff": args.cutoff,
                       "max_amplitude_deviation": deviation}))
@@ -203,12 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a protocol")
     p_run.add_argument("protocol", choices=["nls", *protocols.TELEPORTS])
     for name in ("c0", "c1", "c2"):
-        p_run.add_argument(f"--{name}", type=float, default=None)
-        p_run.add_argument(f"--{name}-re", type=float, default=None)
-        p_run.add_argument(f"--{name}-im", type=float, default=None)
+        p_run.add_argument(f"--{name}", type=float, default=0.0)
+        p_run.add_argument(f"--{name}-im", type=float, default=0.0)
     p_run.add_argument("--gamma1", type=float)
     p_run.add_argument("--gamma2", type=float)
-    p_run.add_argument("--auto-params", action="store_true")
     p_run.add_argument("--cutoff", type=int)
     p_run.add_argument(
         "--format", choices=["json", "csv", "pretty"], default="json"

@@ -27,6 +27,7 @@ from .states import (
     _key_strides,
     _mag2,
     _merge_by_key,
+    _one_state,
     _rescale,
     _row_sums,
     canonical_modes,
@@ -131,6 +132,7 @@ def herald_weights(
     order of ``detected``, and patterns come in lexicographic order of those
     tuples.  Weights sum to the state's squared norm (up to the leaked tail).
     """
+    _one_state(state)
     idx = sorted(_detected_indices(state.modes, detected))
     counts = state.occupations[:, idx]
     keys = counts @ _key_strides(len(idx), state.cutoff)

@@ -30,8 +30,9 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .heralding import DetectionPattern, _condition, _herald_columns, _herald_rows, herald_weights
-from .squeezers import PdcSpec, SqueezerSpec, _check_pdc_modes, _layout, _pdc_pairs, _squeeze
+from .heralding import (DetectionPattern, _condition, _detected_indices, _herald_columns,
+                        _herald_rows, herald_weights)
+from .squeezers import PdcSpec, SqueezerSpec, _layout, _pdc_pairs, _squeeze
 from .states import (
     EPS_ZERO,
     FockError,
@@ -41,6 +42,7 @@ from .states import (
     StateBatch,
     ZeroNormError,
     _key_strides,
+    _one_state,
     _overlaps,
     _shared_rows,
 )
@@ -210,6 +212,7 @@ def fidelity(a: StateBatch, b: PureState) -> float | np.ndarray:
 
     A batch ``a`` gives one fidelity per state, a batch of none an empty array.
     """
+    _one_state(b)
     return _fidelity(a, b)
 
 
@@ -296,20 +299,28 @@ class Circuit:
         couplings; the circuit is linear, so a superposition needs the
         largest value over its nonzero coefficients.
         """
-        col = {m: i for i, m in enumerate(self.modes)}
-        pairs = []  # the mode columns of every squeezer in the order they act
-        for spec, a, b, _ in self.layers:
-            for ma, mb in _pdc_pairs(a, b) if spec is PdcSpec else ((a, b),):
-                if ma not in col or mb not in col:
-                    raise ModeMismatchError(f"{self.name}: layer on {ma}, {mb} outside its modes")
-                pairs.append((col[ma], col[mb]))
-        if not set(self.detected) <= set(col):
-            raise ModeMismatchError(f"{self.name}: detected modes outside its modes")
-        detected = [col[m] for m in self.detected]
+        squeezers, detected = _columns(self, self.modes)
+        pairs = [(a, b) for a, b, _ in squeezers]
         return tuple(
             max(_cone_peak(x, pairs, detected), max(x), max(t, default=0), 1 if detected else 0)
             for x, t in zip(self.inputs, self.targets)
         )
+
+
+def _columns(circuit: Circuit, modes: tuple[ModeLabel, ...]) -> tuple[list, list[int]]:
+    """Every squeezer of ``circuit``'s layers as (column, column, coupling
+    index) of ``modes`` in the order they apply, and the columns of its
+    detected modes, with the checks of both: each spec's own, every layer
+    mode among ``modes``, and the herald's (``heralding._detected_indices``)."""
+    col = {m: i for i, m in enumerate(modes)}
+    squeezers = []
+    for spec, a, b, g in circuit.layers:
+        spec(a, b, 0.0)  # the spec's own checks
+        for ma, mb in _pdc_pairs(a, b) if spec is PdcSpec else ((a, b),):
+            if ma not in col or mb not in col:
+                raise ModeMismatchError(f"{circuit.name}: layer on {ma}, {mb} outside its modes")
+            squeezers.append((col[ma], col[mb], g))
+    return squeezers, _detected_indices(modes, circuit.detected)
 
 
 # -- herald cone ---------------------------------------------------------------
@@ -634,15 +645,7 @@ class _Plan:
                 f"{circuit.name}: out_modes ({out}) are not its modes minus detected ({rest})")
         self.inputs = _basis_rows(circuit.modes, circuit.inputs, nonzero, cutoff)
         state = self.inputs[0]
-        self.squeezers = []
-        for spec, a, b, g in circuit.layers:
-            spec(a, b, 0.0)  # the spec's own checks
-            pairs = ((a, b),)
-            if spec is PdcSpec:
-                pairs = _pdc_pairs(a, b)
-                _check_pdc_modes(pairs, state.modes)
-            for ma, mb in pairs:
-                self.squeezers.append((state.index_of(ma), state.index_of(mb), g))
+        self.squeezers, _ = _columns(circuit, state.modes)
         self.targets = _basis_rows(circuit.out_modes, circuit.targets, nonzero, cutoff)
         pattern = DetectionPattern({m: 1 for m in circuit.detected})
         idx, counts, keep_idx, kept_modes = _herald_columns(state.modes, state.cutoff, pattern)
@@ -819,10 +822,10 @@ def optimize_teleport_success(
 
     The constraint gamma1 = gamma2/(1-2*gamma2)^2 is applied at every
     point, and the range is first clipped to the couplings it accepts
-    (gamma1 < 1, so gamma2 < 1/4): probes past that boundary would all
-    score 0 and could walk the bracket there.  ``tolerance`` is the
-    absolute bracket width on gamma2 and must be positive.  Each probe runs
-    the balanced input: equal weights on the circuit's inputs.
+    (gamma1 < 1, so gamma2 < 1/4); feasibility is monotone in gamma2, so
+    every probe is feasible.  ``tolerance`` is the absolute bracket width on
+    gamma2 and must be positive.  Each probe runs the balanced input: equal
+    weights on the circuit's inputs.
     """
     if protocol not in TELEPORTS:
         raise FockError(f"unknown teleport protocol {protocol!r}")
@@ -838,13 +841,7 @@ def optimize_teleport_success(
     circuit = TELEPORTS[protocol]
 
     def probability(g2: float) -> float:
-        # infeasible couplings (gamma1 >= 1) count as zero success, so ranges
-        # extending past the feasibility boundary remain searchable; any other
-        # failure of the run is an error
-        try:
-            params = GateParams.teleport(g2)
-        except FockError:
-            return 0.0
+        params = GateParams.teleport(g2)  # g2 in [lo, hi]: feasible
         return float(_run_batch(circuit, circuit.balanced_input, [params], cutoff)[2][0])
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

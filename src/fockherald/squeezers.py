@@ -338,13 +338,6 @@ def _pdc_pairs(path_a: int, path_b: int) -> tuple[tuple[ModeLabel, ModeLabel], .
     )
 
 
-def _check_pdc_modes(pairs, modes: tuple[ModeLabel, ...]) -> None:
-    """Raise ``ModeMismatchError`` for the first of a PDC's ``pairs`` not in ``modes``."""
-    for ma, mb in pairs:
-        if ma not in modes or mb not in modes:
-            raise ModeMismatchError(f"PDC requires polarized modes {ma}, {mb}")
-
-
 def apply_type2_pdc(
     state: StateBatch, spec: PdcSpec | Sequence[PdcSpec]
 ) -> StateBatch:
@@ -357,40 +350,35 @@ def apply_type2_pdc(
         raise FockError("a PDC needs at least one spec: with none there are no paths")
     pairs = [_pdc_pairs(sp.path_a, sp.path_b) for sp in specs]
     layers = [[SqueezerSpec(*p[i], sp.gamma) for p, sp in zip(pairs, specs)] for i in (0, 1)]
-    _check_pdc_modes(pairs[0], state.modes)
+    for ma, mb in pairs[0]:
+        if ma not in state.modes or mb not in state.modes:
+            raise ModeMismatchError(f"PDC requires polarized modes {ma}, {mb}")
     for layer in layers:
         state = apply_two_mode_squeezer(state, layer)
     return state
 
 
 def apply_squeezer_taylor_oracle(
-    state: PureState,
-    spec: SqueezerSpec,
-    theta_terms: int = 80,
-    substeps: int | None = None,
-    headroom: int = 80,
-    tail_warn: float = 1e-12,
+    state: PureState, spec: SqueezerSpec, theta_terms: int = 80
 ) -> PureState:
     """Series-exponential reference path for the two-mode squeezer.
 
     Applies exp[theta (a†b† - ab)] by Taylor series.  To keep the series
     numerically stable at strong coupling the exponential is split into
-    substeps, exp(theta A) = exp(theta A / r)^r, each summed to
-    ``theta_terms`` orders; a single step suffices for small theta.  The
-    pair subspace is carried up to cutoff + headroom internally so that
-    truncation at the boundary does not contaminate amplitudes below the
-    cutoff.  Intended for cross-validation at small cutoffs only.
+    substeps of theta at most 0.01, exp(theta A) = exp(theta A / r)^r, each
+    summed to ``theta_terms`` orders.  The pair subspace is carried up to
+    cutoff + 80 internally so that truncation at the boundary does not
+    contaminate amplitudes below the cutoff; a series tail estimate above
+    1e-12 warns.  Intended for cross-validation at small cutoffs only.
     """
     if theta_terms < 1:
         raise FockError("theta_terms must be >= 1")
     ia = state.index_of(spec.mode_a)
     ib = state.index_of(spec.mode_b)
     theta = spec.theta
-    if substeps is None:
-        substeps = max(1, math.ceil(theta / 0.01))
+    substeps = max(1, math.ceil(theta / 0.01))
     th = theta / substeps
-    cap = state.cutoff + headroom
-    dim = cap + 1
+    dim = state.cutoff + 81
 
     # group terms by spectator occupation; each group is a dense pair block
     groups: dict[tuple[int, ...], np.ndarray] = {}
@@ -428,9 +416,9 @@ def apply_squeezer_taylor_oracle(
             v = acc
         groups[spect] = v
 
-    if tail > tail_warn:
+    if tail > 1e-12:
         warnings.warn(
-            f"taylor oracle series tail estimate {tail:.2e} exceeds {tail_warn:.0e};"
+            f"taylor oracle series tail estimate {tail:.2e} exceeds 1e-12;"
             " increase theta_terms",
             stacklevel=2,
         )

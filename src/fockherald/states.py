@@ -516,6 +516,13 @@ class PureState(StateBatch):
 # -- constructors and algebra ---------------------------------------------
 
 
+def _one_state(*states: StateBatch) -> None:
+    """Raise ``FockError`` for the first of ``states`` that is a batch, not one ``PureState``."""
+    for state in states:
+        if not isinstance(state, PureState):
+            raise FockError(f"one state is required, got a batch of {len(state)}")
+
+
 def make_basis_state(
     modes: Sequence[ModeLabel], occ: Sequence[int], cutoff: int
 ) -> PureState:
@@ -536,6 +543,7 @@ def superpose(terms: Sequence[tuple[complex, PureState]]) -> PureState:
     """Linear combination; duplicate occupation vectors merge by addition."""
     if not terms:
         raise FockError("superpose requires at least one term")
+    _one_state(*(st for _, st in terms))
     _, first = terms[0]
     for _, st in terms[1:]:
         if st.modes != first.modes:
@@ -556,6 +564,7 @@ def superpose(terms: Sequence[tuple[complex, PureState]]) -> PureState:
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product over disjoint mode sets (canonically reordered)."""
+    _one_state(a, b)
     if set(a.modes) & set(b.modes):
         raise ModeMismatchError(
             f"tensor operands share modes: {set(a.modes) & set(b.modes)}"
@@ -572,6 +581,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 def inner_product(a: StateBatch, b: PureState) -> complex | np.ndarray:
     """<a|b>, conjugate-linear in the first argument; one per state of a batch ``a``."""
+    _one_state(b)
     return a._per_state(_overlaps(a, b))
 
 

@@ -218,9 +218,8 @@ def cli(sec: Section) -> None:
     ]
     for fmt in ("json", "csv", "pretty"):
         argvs += [
-            ["run", "nls", "--auto-params", "--c0", "0.6", "--c1", "0.48", "--c2", "0.64",
-             "--format", fmt],
-            ["run", "nls", "--gamma1", "0.3", "--gamma2", "0.2", "--c0-re", "0.6",
+            ["run", "nls", "--c0", "0.6", "--c1", "0.48", "--c2", "0.64", "--format", fmt],
+            ["run", "nls", "--gamma1", "0.3", "--gamma2", "0.2", "--c0", "0.6",
              "--c1-im", "0.8", "--cutoff", "8", "--format", fmt],
             ["run", "teleport-qubit", "--gamma2", "0.1", "--c0", "0.6", "--c1", "0.8",
              "--format", fmt],

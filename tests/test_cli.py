@@ -2,10 +2,11 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from fockherald import InputCoefficients
+from fockherald import InputCoefficients, protocols
 from fockherald.cli import main
 from fockherald.protocols import run_teleport
 
@@ -37,14 +38,12 @@ def test_params_teleport(capsys):
 def test_params_teleport_out_of_range(capsys):
     code, _, err = run_cli(capsys, "params", "teleport", "--gamma2", "0.6")
     assert code == 2
-    assert "gamma2 must lie in (0,0.5)" in json.loads(err)["error"]
+    assert json.loads(err)["error"] == "gamma2 must lie in (0, 0.5), got 0.6"
 
 
 def test_run_nls_auto_params(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "run", "nls", "--c0", "1", "--c1", "1", "--c2", "1", "--auto-params",
-    )
+    # with no gammas given, run nls solves them
+    code, out, _ = run_cli(capsys, "run", "nls", "--c0", "1", "--c1", "1", "--c2", "1")
     assert code == 0
     data = json.loads(out)
     assert data["fidelity"] == pytest.approx(1.0, abs=1e-9)
@@ -90,7 +89,7 @@ def test_run_nls_explicit_gammas(capsys):
 def test_run_complex_coefficients(capsys):
     code, out, _ = run_cli(
         capsys,
-        "run", "teleport-qubit", "--c0-re", "0.6", "--c1-im", "0.8",
+        "run", "teleport-qubit", "--c0", "0.6", "--c1-im", "0.8",
         "--gamma2", "0.05",
     )
     assert code == 0
@@ -98,20 +97,18 @@ def test_run_complex_coefficients(capsys):
 
 
 def test_run_conflicting_coefficient_flags(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "run", "teleport-qubit", "--c0", "1", "--c0-re", "1",
-        "--gamma2", "0.05",
-    )
-    assert code == 2
-    assert "error" in json.loads(err)
+    # --cN is the real part: the --cN-re aliases and --auto-params are gone
+    for extra in (["--c0-re", "1"], ["--c1-re", "1"], ["--c2-re", "1"], ["--auto-params"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "teleport-qubit", "--c0", "1", "--gamma2", "0.05", *extra])
+        assert exc.value.code == 2
+        assert extra[0] in capsys.readouterr().err
 
 
 def test_run_pretty_format(capsys):
     code, out, _ = run_cli(
         capsys,
-        "run", "nls", "--c0", "1", "--c1", "1", "--c2", "1",
-        "--auto-params", "--format", "pretty",
+        "run", "nls", "--c0", "1", "--c1", "1", "--c2", "1", "--format", "pretty",
     )
     assert code == 0
     assert "success probability" in out
@@ -127,23 +124,55 @@ def test_run_output_deterministic(capsys):
 
 
 def test_env_cutoff_override(capsys, monkeypatch):
+    # only --cutoff sets the cutoff: the environment does not override the herald cutoff
     monkeypatch.setenv("FOCKHERALD_CUTOFF", "12")
-    code, out, _ = run_cli(
-        capsys, "run", "teleport-qubit", "--c0", "1", "--c1", "1",
-        "--gamma2", "0.05",
-    )
+    argv = ["run", "teleport-qubit", "--c0", "1", "--c1", "1", "--gamma2", "0.05"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["output_state"]["cutoff"] == 1
+    code, out, _ = run_cli(capsys, *argv, "--cutoff", "12")
     assert code == 0
     assert json.loads(out)["output_state"]["cutoff"] == 12
 
 
 def test_env_cutoff_invalid(capsys, monkeypatch):
+    # the CLI reads no environment variable, so no value there is an error
     monkeypatch.setenv("FOCKHERALD_CUTOFF", "zero")
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "run", "teleport-qubit", "--c0", "1", "--c1", "1",
         "--gamma2", "0.05",
     )
-    assert code == 2
-    assert "FOCKHERALD_CUTOFF" in json.loads(err)["error"]
+    assert code == 0 and err == ""
+    assert json.loads(out)["output_state"]["cutoff"] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["params", "teleport"], "params teleport requires --gamma2"),
+    (["run", "teleport-qubit", "--c0", "1"], "teleport-qubit requires --gamma2"),
+    (["run", "teleport-qutrit", "--gamma2", "0.1", "--gamma1", "0.2"],
+     "teleport-qutrit derives gamma1 from the constraint"),
+    (["run", "nls", "--gamma2", "0.2"], "nls needs both --gamma1 and --gamma2, or neither"),
+    (["sweep", "teleport-qubit", "--start", "0.1", "--stop", "0.2", "--points", "0"],
+     "--points must be >= 1"),
+    (["sweep", "teleport-qubit", "--start", "0", "--stop", "0.2", "--log"],
+     "log grid requires positive bounds"),
+    (["sweep", "teleport-qubit", "--start", "0.1", "--stop", "-0.2", "--log"],
+     "log grid requires positive bounds"),
+    (["oracle-check", "--gamma", "1.5"], "gamma must lie in [0, 1), got 1.5"),
+])
+def test_invalid_input_exits_2_with_one_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message}
+
+
+def test_constrained_fidelity_below_contract_exits_3(capsys, monkeypatch):
+    real = protocols.run_teleport
+    monkeypatch.setattr(protocols, "run_teleport", lambda *a: replace(real(*a), fidelity=0.5))
+    code, out, err = run_cli(capsys, "run", "teleport-qubit", "--c0", "1", "--gamma2", "0.1")
+    assert code == 3
+    assert json.loads(out)["fidelity"] == 0.5
+    assert json.loads(err) == {"error": "fidelity 0.5 below contract"}
 
 
 @pytest.mark.parametrize(

@@ -258,7 +258,7 @@ def _cli(argv):
 @pytest.mark.parametrize(
     "argv, cutoff",
     [
-        (["run", "nls", "--auto-params", "--c0", "0.6", "--c1", "0.48", "--c2", "0.64"], "2"),
+        (["run", "nls", "--c0", "0.6", "--c1", "0.48", "--c2", "0.64"], "2"),
         (["run", "teleport-qubit", "--gamma2", "0.1", "--c0", "0.6", "--c1", "0.8",
           "--format", "csv"], "1"),
         (["run", "teleport-qutrit", "--gamma2", "0.2", "--c0", "0.6", "--c1", "0.48",
@@ -267,8 +267,7 @@ def _cli(argv):
         (["sweep", "teleport-qutrit", "--start", "0.01", "--stop", "0.3", "--points", "5"], "1"),
     ],
 )
-def test_cli_default_equals_the_explicit_herald_cutoff(argv, cutoff, monkeypatch):
-    monkeypatch.delenv("FOCKHERALD_CUTOFF", raising=False)
+def test_cli_default_equals_the_explicit_herald_cutoff(argv, cutoff):
     assert _cli(argv) == _cli(argv + ["--cutoff", cutoff])
 
 

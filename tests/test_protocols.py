@@ -15,6 +15,8 @@ from fockherald import (
     GateParams,
     InputCoefficients,
     ModeLabel,
+    PdcSpec,
+    SqueezerSpec,
     fidelity,
     make_basis_state,
     optimize_teleport_success,
@@ -40,11 +42,20 @@ from fockherald.states import ModeMismatchError
 
 G2_CLOSED = (3 - math.sqrt(2)) / 7
 G1_CLOSED = (21 - 7 * math.sqrt(2)) / (9 + 4 * math.sqrt(2))
-M1 = ModeLabel(1)
+M1, M2, M3, M4 = (ModeLabel(p) for p in range(1, 5))
 NAMED_RUNNERS = {"teleport-qubit": run_qubit_teleport, "teleport-qutrit": run_qutrit_teleport}
 
 
 # -- parameter solvers --------------------------------------------------------
+
+
+@pytest.mark.parametrize("gammas, message", [
+    ((1.0, 0.1), r"gamma1 must lie in \[0, 1\), got 1.0"),
+    ((0.1, -0.1), r"gamma2 must lie in \[0, 1\), got -0.1"),
+])
+def test_gate_params_range(gammas, message):
+    with pytest.raises(FockError, match=message):
+        GateParams(*gammas)
 
 
 def test_solved_params_match_closed_forms():
@@ -259,6 +270,15 @@ def test_run_teleport_is_the_named_runner(name):
 def test_run_teleport_unknown_protocol():
     with pytest.raises(FockError, match="unknown teleport protocol 'nls'"):
         run_teleport("nls", InputCoefficients(0.6, 0.8), 0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: optimize_teleport_success("nls", (0.01, 0.2)),
+    lambda: sweep("nls", [0.1]),
+], ids=["optimize_teleport_success", "sweep"])
+def test_optimizer_and_sweep_reject_an_unknown_protocol(call):
+    with pytest.raises(FockError, match="unknown teleport protocol 'nls'"):
+        call()
 
 
 def test_qubit_herald_distribution_recorded():
@@ -591,3 +611,23 @@ def test_inconsistent_circuit_rejected_before_any_layer(circuit, message, monkey
     monkeypatch.setattr(protocols, "_squeeze", no_layer)
     with pytest.raises(ModeMismatchError, match=message):
         run_circuit(circuit, InputCoefficients(0.6, 0.8), GateParams(0.3, 0.2), 4)
+
+
+@pytest.mark.parametrize("circuit, error, message", [
+    (replace(NLS, name="bad", layers=((SqueezerSpec, M2, M4, 0), (SqueezerSpec, M1, M2, 1))),
+     ModeMismatchError, "bad: layer on 2, 4 outside its modes"),
+    (replace(NLS, name="bad", layers=((SqueezerSpec, M2, M2, 0), (SqueezerSpec, M1, M2, 1))),
+     FockError, "squeezer requires two distinct modes"),
+    (replace(NLS, name="bad", layers=((PdcSpec, 2, 3, 0),)),
+     ModeMismatchError, "bad: layer on H2, V3 outside its modes"),
+    (replace(NLS, name="bad", detected=(M1, M4), out_modes=(M2, M3)),
+     ModeMismatchError, "detected mode 4 not in state"),
+], ids=["layer-outside", "one-mode-squeezer", "unpolarized-pdc", "detected-outside"])
+def test_a_malformed_layer_or_herald_gets_one_message_from_every_entry(circuit, error, message):
+    # the herald cutoff and a run at any cutoff read the layers and the herald one way
+    coeffs, params = InputCoefficients(0.6, 0.8), GateParams(0.3, 0.2)
+    for call in (lambda: circuit.herald_cutoffs, lambda: run_circuit(circuit, coeffs, params),
+                 lambda: run_circuit(circuit, coeffs, params, 4)):
+        with pytest.raises(FockError) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockherald import (
+    FockError,
     ModeLabel,
     ModeMismatchError,
     PdcSpec,
@@ -62,6 +63,21 @@ def test_spec_validation():
         SqueezerSpec(MA, MA, 0.1)
     with pytest.raises(ValueError):
         SqueezerSpec(MA, MB, 1.0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 1, 0.1), "PDC requires two distinct paths"),
+    ((1, 2, 1.0), r"gamma must lie in \[0, 1\), got 1.0"),
+    ((1, 2, -0.1), r"gamma must lie in \[0, 1\), got -0.1"),
+])
+def test_pdc_spec_validation(args, message):
+    with pytest.raises(FockError, match=message):
+        PdcSpec(*args)
+
+
+def test_matrix_element_rejects_negative_occupations():
+    with pytest.raises(FockError, match="occupations must be nonnegative"):
+        squeezer_matrix_element(1, 1, -1, -1, 0.1)
 
 
 def test_matrix_element_tmsv_column():
@@ -263,3 +279,8 @@ def test_oracle_with_spectator_mode():
     slow = apply_squeezer_taylor_oracle(st_, spec)
     for occ in set(fast.terms) | set(slow.terms):
         assert abs(fast.amplitude(occ) - slow.amplitude(occ)) < 1e-10
+
+
+def test_oracle_needs_one_series_term():
+    with pytest.raises(FockError, match="theta_terms must be >= 1"):
+        apply_squeezer_taylor_oracle(vacuum_state((MA, MB), 4), SqueezerSpec(MA, MB, 0.1), 0)

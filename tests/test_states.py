@@ -16,9 +16,12 @@ from fockherald import (
     StateBatch,
     ZeroNormError,
     apply_two_mode_squeezer,
+    fidelity,
+    herald_weights,
     inner_product,
     make_basis_state,
     normalize,
+    outcome_distribution,
     superpose,
     tensor,
     vacuum_state,
@@ -57,6 +60,11 @@ def test_mode_label_validation():
         ModeLabel(0, "X")
 
 
+def test_duplicate_mode_labels_rejected():
+    with pytest.raises(ModeMismatchError, match="duplicate mode labels"):
+        PureState((M1, M1), {(0, 0): 1.0}, 4)
+
+
 def test_mixed_polarization_on_path_rejected():
     with pytest.raises(ModeMismatchError):
         PureState((ModeLabel(1), ModeLabel(1, "H")), {(0, 0): 1.0}, 4)
@@ -88,6 +96,13 @@ def test_superpose_mode_mismatch():
     b = make_basis_state((M2,), (0,), 8)
     with pytest.raises(ModeMismatchError):
         superpose([(1.0, a), (1.0, b)])
+
+
+def test_operands_with_different_cutoffs_rejected():
+    with pytest.raises(FockError, match="superpose operands have different cutoffs"):
+        superpose([(1.0, vacuum_state((M1,), 4)), (1.0, vacuum_state((M1,), 5))])
+    with pytest.raises(FockError, match="tensor operands have different cutoffs"):
+        tensor(vacuum_state((M1,), 4), vacuum_state((M2,), 5))
 
 
 def test_tensor_basis():
@@ -122,6 +137,28 @@ def test_inner_product_basics():
     one = make_basis_state((M1,), (1,), 8)
     assert inner_product(zero, zero) == 1
     assert inner_product(zero, one) == 0
+
+
+def test_inner_product_mode_mismatch():
+    with pytest.raises(ModeMismatchError, match="inner_product requires identical mode sets"):
+        inner_product(vacuum_state((M1,), 4), vacuum_state((M2,), 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: inner_product(a, b),
+    lambda a, b: fidelity(a, b),
+    lambda a, b: herald_weights(b, [M1]),
+    lambda a, b: outcome_distribution(b, [M1]),
+    lambda a, b: superpose([(1.0, a), (1.0, b)]),
+    lambda a, b: tensor(b, vacuum_state((M3,), 4)),
+], ids=["inner_product", "fidelity", "herald_weights", "outcome_distribution", "superpose",
+        "tensor"])
+def test_a_batch_where_one_state_is_required_is_rejected(call):
+    # b holds a squeezed at two couplings: no single answer belongs to it
+    a = PureState((M1, M2), {(0, 0): 0.6, (1, 1): 0.8}, 4)
+    b = apply_two_mode_squeezer(StateBatch.of(a, 2), [SqueezerSpec(M1, M2, g) for g in (0.1, 0.5)])
+    with pytest.raises(FockError, match="one state is required, got a batch of 2"):
+        call(a, b)
 
 
 def test_inner_product_conjugate_linear_in_first():
@@ -206,6 +243,14 @@ def test_distinct_terms_at_key_space_edge_stay_distinct():
 def test_non_integer_occupation_rejected():
     with pytest.raises(FockError):
         PureState((M1,), {(1.5,): 1.0}, 8)
+
+
+def test_repr_shows_the_first_four_terms():
+    assert repr(PureState((M1, M2), {(1, 0): 0.8j, (0, 0): 0.6}, 4)) == \
+        "PureState[1+2; cutoff=4; (0.6+0j)|0,0> + (0+0.8j)|1,0>]"
+    five = PureState((M1,), {(n,): 0.5 for n in range(5)}, 4)
+    assert repr(five) == "PureState[1; cutoff=4; " + " + ".join(
+        f"(0.5+0j)|{n}>" for n in range(4)) + "...]"
 
 
 def test_serialization_roundtrip():
